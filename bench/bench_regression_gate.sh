@@ -18,9 +18,9 @@
 #   BENCH_GATE_SKIP_REGEX benchmarks to record but never gate. Default:
 #                         BM_BlockingQueryUnderIngest — a query that
 #                         quiesces a live writer is scheduler-bound by
-#                         design (that pathology is why SnapshotQuery
-#                         exists), so its throughput swings orders of
-#                         magnitude run to run and would only add noise.
+#                         design (that pathology is why snapshot-mode
+#                         queries exist), so its throughput swings orders
+#                         of magnitude run to run and would only add noise.
 set -euo pipefail
 
 usage="usage: bench_regression_gate.sh BASELINE_JSON BENCH_BINARY..."

@@ -37,6 +37,7 @@ using namespace castream;
 
 constexpr uint64_t kYRange = 1 << 16;
 constexpr size_t kStreamLen = 1 << 18;
+constexpr QueryOptions kSnapshot{.mode = QueryMode::kSnapshot};
 
 CorrelatedSketchOptions F2Opts() { return bench::F2BenchOpts(0.20, kYRange); }
 
@@ -122,10 +123,10 @@ BENCHMARK(BM_BlockingQueryQuiescent)->Arg(4)->UseRealTime();
 
 void BM_SnapshotQueryQuiescent(benchmark::State& state) {
   auto driver = MakeLoadedDriver(state.range(0), /*seed=*/22);
-  benchmark::DoNotOptimize(driver->SnapshotQuery(0));  // prime (see above)
+  benchmark::DoNotOptimize(driver->Query(0, kSnapshot));  // prime (as above)
   bench::CutoffWalk walk;
   for (auto _ : state) {
-    auto r = driver->SnapshotQuery(walk.Next(kYRange));
+    auto r = driver->Query(walk.Next(kYRange), kSnapshot);
     benchmark::DoNotOptimize(r);
   }
   state.SetItemsProcessed(state.iterations());
@@ -151,12 +152,12 @@ BENCHMARK(BM_BlockingQueryUnderIngest)->Arg(4)->UseRealTime();
 
 void BM_SnapshotQueryUnderIngest(benchmark::State& state) {
   auto driver = MakeLoadedDriver(state.range(0), /*seed=*/24);
-  benchmark::DoNotOptimize(driver->SnapshotQuery(0));  // prime (see above)
+  benchmark::DoNotOptimize(driver->Query(0, kSnapshot));  // prime (as above)
   BackgroundWriter writer(*driver);
   bench::CutoffWalk walk;
   const uint64_t pushed_before = writer.pushed();
   for (auto _ : state) {
-    auto r = driver->SnapshotQuery(walk.Next(kYRange));
+    auto r = driver->Query(walk.Next(kYRange), kSnapshot);
     benchmark::DoNotOptimize(r);
   }
   state.counters["ingest_tps"] = benchmark::Counter(

@@ -11,15 +11,14 @@
 # plus bench_serialize (wire-format encode/decode bytes-per-second) plus
 # bench_snapshot_query (query serving rates, blocking vs snapshot) plus
 # bench_zipf_ingest (trace-shaped columnar/coalesced ingest) plus
-# bench_merge_scaling (tree vs linear re-merge cost under single-shard
-# churn) plus bench_chh_shootout (the three correlated heavy-hitters kinds
-# on shared workloads: throughput, serialized bytes, precision/recall; the
-# extras are skipped with a note if the binary is missing) and
-# merges the
-# results into OUT_JSON via bench/merge_baseline.py, which refreshes the
-# "current" section and the machine context while preserving the frozen
-# "seed" section (the pre-optimization numbers that speedup claims are
-# audited against).
+# bench_merge_scaling (merge-tree re-merge cost under single-shard churn,
+# log2(S) merges per query) plus bench_chh_shootout (the three correlated
+# heavy-hitters kinds on shared workloads: throughput, serialized bytes,
+# precision/recall; the extras are skipped with a note if the binary is
+# missing) and merges the results into OUT_JSON via bench/merge_baseline.py,
+# which refreshes the "current" section and the machine context while
+# preserving the frozen "seed" section (the pre-optimization numbers that
+# speedup claims are audited against).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

@@ -113,6 +113,24 @@ if ! grep -q '"\$BIN" kinds' ci/shardctl_demo.sh; then
   exit 1
 fi
 
+# Merge-order drift guard: the binary merge tree is the only merge order,
+# and Query(c, QueryOptions) / Summarize(QueryOptions) the only query
+# surface. The names of the removed linear prefix chain and of the legacy
+# query spellings must not creep back into the code.
+REMOVED_NAME_ARGS=()
+for name in MergePolicy kLinear PrefixMergeCache MergedSummary \
+            SnapshotSummary 'SnapshotQuery(' SnapshotQueryWindow \
+            SnapshotQuerySince; do
+  REMOVED_NAME_ARGS+=(-e "$name")
+done
+STALE_NAMES=$(grep -rnF "${REMOVED_NAME_ARGS[@]}" src tests bench examples \
+  || true)
+if [ -n "$STALE_NAMES" ]; then
+  echo "error: removed merge-policy / legacy query names reappeared:" >&2
+  echo "$STALE_NAMES" >&2
+  exit 1
+fi
+
 cd "$BUILD_DIR"
 
 # --no-tests=error everywhere: a label that silently matches nothing (a

@@ -16,9 +16,9 @@
 //
 // The demo stream is deterministic from --stream-seed, and the reducer
 // folds its (worker, shard) table, in key order, through the
-// deterministic MergeCache engine, so `oracle` — the same split, serial
-// ingest, and the same engine-and-policy fold done in one process with no
-// wire — must print the *identical* cutoff ladder (bit-for-bit, %.17g)
+// deterministic MergeCache tree, so `oracle` — the same split, serial
+// ingest, and the same tree-order fold done in one process with no wire —
+// must print the *identical* cutoff ladder (bit-for-bit, %.17g)
 // once every worker's final snapshots have landed. ci/served_demo.sh
 // drives exactly that, plus the failure drills: killed and restarted
 // workers (session tags make re-publishes replace the dead incarnation),
@@ -481,10 +481,10 @@ int RunQuery(const Args& args) {
 // fleet does, in one process, with no wire. InsertBatch equals serial
 // inserts exactly and the MergeCache fold is deterministic, so any
 // textual deviation from `query` (after final publishes) is a service
-// bug. Two details make the replay exact: the fold goes through
-// MergeCache under the reducer's default tree policy (tree shape affects
-// bucket-closing timing, so a plain serial fold would not be
-// bit-identical), and slots that received zero tuples are excluded — a
+// bug. Two details make the replay exact: the fold goes through the
+// reducer's MergeCache tree (tree shape affects bucket-closing timing, so
+// a plain serial fold would not be bit-identical), and slots that
+// received zero tuples are excluded — a
 // worker never publishes an epoch-0 shard, so such slots have no table
 // entry at the reducer and must not widen the oracle's tree either.
 int RunOracle(const Args& args) {
@@ -534,7 +534,7 @@ int RunOracle(const Args& args) {
   std::shared_ptr<const AnySummary> merged_root;
   if (args.topology.empty()) {
     // Fold the published (nonempty) slots, in (worker, shard) key order,
-    // through the reducer's engine and policy.
+    // through the reducer's merge tree.
     std::vector<std::shared_ptr<const AnySummary>> snaps;
     std::vector<uint64_t> seqs;
     for (size_t i = 0; i < slots; ++i) {
@@ -553,7 +553,7 @@ int RunOracle(const Args& args) {
   } else {
     // Tier-grouped fold: replay the reducer tree node by node. Each relay
     // folds its children's slots, in (worker, shard) key order, through a
-    // fresh MergeCache under the same default policy, and hands its root
+    // fresh MergeCache tree, and hands its root
     // upstream *through serialization* — exactly the wire path — so the
     // final ladder is the bit-for-bit target for a query at the tree root.
     auto parsed = service::TopologyConfig::Parse(args.topology);

@@ -418,10 +418,11 @@ int RunReduce(const Args& args) {
 
 /// \brief In-process serving demo on the unified Summary API: one
 /// ShardedDriver<AnySummary> (any registry kind) ingesting the demo stream
-/// on a writer thread while the main thread polls SnapshotQuery — the
+/// on a writer thread while the main thread polls snapshot-mode Query — the
 /// non-blocking path a live dashboard would use — then a final consistency
 /// check that post-flush snapshot answers equal blocking ones bit-for-bit.
 int RunStats(const Args& args) {
+  constexpr QueryOptions kSnapshot{.mode = QueryMode::kSnapshot};
   // Validate the kind up front so a typo fails with a clear message
   // instead of inside the driver's factory.
   if (auto probe = MakeSummary(args.kind, OptionsFor(args), args.summary_seed);
@@ -446,33 +447,34 @@ int RunStats(const Args& args) {
   });
   for (int probe = 0; probe < 5; ++probe) {
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    const auto q = driver.SnapshotQuery(args.y_max);
+    const auto q = driver.Query(args.y_max, kSnapshot);
     std::printf("mid-ingest snapshot estimate %-14.3f (tuples ingested %10"
                 PRIu64 ", merges %" PRIu64 ")\n",
-                q.ok() ? q.value() : -1.0, driver.tuples_processed(),
+                q.ok() ? q.value().estimate : -1.0, driver.tuples_processed(),
                 driver.shard_merges_performed());
   }
   producer.join();
   driver.Flush();
 
   for (uint64_t c : CutoffLadder(args.y_max)) {
-    const auto snapshot = driver.SnapshotQuery(c);
+    const auto snapshot = driver.Query(c, kSnapshot);
     const auto blocking = driver.Query(c);
     if (snapshot.ok() != blocking.ok() ||
-        (snapshot.ok() && snapshot.value() != blocking.value())) {
-      std::fprintf(stderr,
-                   "STATS FAILED at cutoff %" PRIu64
-                   ": snapshot %s vs blocking %s\n",
-                   c,
-                   snapshot.ok() ? std::to_string(snapshot.value()).c_str()
-                                 : "error",
-                   blocking.ok() ? std::to_string(blocking.value()).c_str()
-                                 : "error");
+        (snapshot.ok() &&
+         snapshot.value().estimate != blocking.value().estimate)) {
+      std::fprintf(
+          stderr,
+          "STATS FAILED at cutoff %" PRIu64 ": snapshot %s vs blocking %s\n",
+          c,
+          snapshot.ok() ? std::to_string(snapshot.value().estimate).c_str()
+                        : "error",
+          blocking.ok() ? std::to_string(blocking.value().estimate).c_str()
+                        : "error");
       return 1;
     }
     if (snapshot.ok()) {
       std::printf("cutoff %10" PRIu64 "  estimate %.6f (snapshot == "
-                  "blocking)\n", c, snapshot.value());
+                  "blocking)\n", c, snapshot.value().estimate);
     }
   }
   const uint64_t merges_settled = driver.shard_merges_performed();

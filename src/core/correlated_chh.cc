@@ -249,10 +249,11 @@ Result<std::vector<HeavyHitter>> CorrelatedNestedMisraGries::QueryHeavyHitters(
   const double threshold = phi * n;
   for (const auto& [x, e] : table_) {
     const uint64_t folded = FoldBelow(e, c);
-    if (folded == 0) continue;
     // Certain undercount slack: up to primary_decrements_ of x's mass was
     // never routed into this entry, and up to nested_loss of the routed
-    // below-cutoff mass was lost to nested decrement rounds.
+    // below-cutoff mass was lost to nested decrement rounds. An entry whose
+    // nested table a decrement round or a merge emptied (folded == 0) can
+    // still be heavy on its slack alone, so it is judged like any other.
     const double slack =
         static_cast<double>(primary_decrements_) +
         static_cast<double>(e.nested_loss);

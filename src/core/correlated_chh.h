@@ -23,7 +23,7 @@
 // families, identity for MergeFrom is the value-based table configuration
 // (the effective x/y capacities). Merging is order-independent up to the
 // algorithms' guarantees, and bit-for-bit reproducible for a fixed merge
-// order — which is what the sharded driver's linear oracle pins.
+// order — which is what the sharded driver's tree-order oracle pins.
 //
 // Deviation from the papers, shared by both kinds: a primary-stage
 // decrement round does not touch the surviving entries' y-stages. Nested

@@ -11,14 +11,11 @@
 // query-time cutoff.
 //
 // Queries mirror the driver's unified API: QueryWindow / QuerySince take
-// the driver's QueryOptions (mode + merge policy) and return
-// QueryAnswer{estimate, epochs}, with the historical Result<double>
-// spellings kept as thin forwarders:
-//   * QueryMode::kBlocking (QueryWindow / QuerySince): drain the queues,
-//     republish, and answer over every observation handed in before the
-//     call.
-//   * QueryMode::kSnapshot (SnapshotQueryWindow / SnapshotQuerySince):
-//     answer from the published shard snapshots without quiescing ingest.
+// the driver's QueryOptions and return QueryAnswer{estimate, epochs}:
+//   * QueryMode::kBlocking (the default): drain the queues, republish, and
+//     answer over every observation handed in before the call.
+//   * QueryMode::kSnapshot: answer from the published shard snapshots
+//     without quiescing ingest.
 //     The answer covers a recent batch-boundary prefix of the observation
 //     stream — stale by at most snapshot_interval_batches per shard plus
 //     queue depth, with the covered publishes reported in the answer's
@@ -106,13 +103,14 @@ class ShardedAsyncWindow {
   void Flush() { driver_.Flush(); }
 
   /// \brief The unified window aggregate over {v : watermark - window < t
-  /// <= watermark}: mode/policy per the driver's QueryOptions, answer with
+  /// <= watermark}: mode per the driver's QueryOptions, answer with
   /// per-shard snapshot-epoch provenance. The watermark must be at or past
   /// every observed timestamp (see async_window.h). A zero-width window
   /// answers 0 without touching the driver (no epochs: nothing was
-  /// merged).
+  /// merged). After Flush(), a snapshot-mode answer equals the blocking
+  /// one bit-for-bit.
   Result<QueryAnswer> QueryWindow(uint64_t watermark, uint64_t window,
-                                  const QueryOptions& options) {
+                                  const QueryOptions& options = {}) {
     if (window == 0) return QueryAnswer{};
     CASTREAM_ASSIGN_OR_RETURN(
         const uint64_t cutoff,
@@ -124,48 +122,10 @@ class ShardedAsyncWindow {
 
   /// \brief The unified since-aggregate over all elements with t >= since
   /// (see QueryWindow for options/answer semantics).
-  Result<QueryAnswer> QuerySince(uint64_t since, const QueryOptions& options) {
+  Result<QueryAnswer> QuerySince(uint64_t since,
+                                 const QueryOptions& options = {}) {
     if (since > t_max_) return QueryAnswer{};
     return driver_.Query(t_max_ - since, options);
-  }
-
-  /// \brief Blocking window aggregate; thin wrapper over the unified
-  /// QueryWindow with default options, dropping the epoch vector.
-  Result<double> QueryWindow(uint64_t watermark, uint64_t window) {
-    CASTREAM_ASSIGN_OR_RETURN(QueryAnswer answer,
-                              QueryWindow(watermark, window, QueryOptions{}));
-    return answer.estimate;
-  }
-
-  /// \brief Non-blocking window aggregate served from the driver's
-  /// published shard snapshots: never waits on writer queues or in-flight
-  /// ingest. The answer covers a recent batch-boundary prefix of the
-  /// observation stream; after Flush() it equals QueryWindow under the
-  /// same merge policy bit-for-bit. Thin wrapper over the unified
-  /// QueryWindow in snapshot mode, dropping the epoch vector.
-  Result<double> SnapshotQueryWindow(uint64_t watermark, uint64_t window) {
-    CASTREAM_ASSIGN_OR_RETURN(
-        QueryAnswer answer,
-        QueryWindow(watermark, window,
-                    QueryOptions{.mode = QueryMode::kSnapshot}));
-    return answer.estimate;
-  }
-
-  /// \brief Blocking aggregate over all elements with t >= since; thin
-  /// wrapper over the unified QuerySince.
-  Result<double> QuerySince(uint64_t since) {
-    CASTREAM_ASSIGN_OR_RETURN(QueryAnswer answer,
-                              QuerySince(since, QueryOptions{}));
-    return answer.estimate;
-  }
-
-  /// \brief Non-blocking since-aggregate (see SnapshotQueryWindow); thin
-  /// wrapper over the unified QuerySince in snapshot mode.
-  Result<double> SnapshotQuerySince(uint64_t since) {
-    CASTREAM_ASSIGN_OR_RETURN(
-        QueryAnswer answer,
-        QuerySince(since, QueryOptions{.mode = QueryMode::kSnapshot}));
-    return answer.estimate;
   }
 
   /// \brief The largest timestamp any observer has recorded so far.
@@ -202,7 +162,7 @@ class ShardedAsyncWindow {
           "watermark precedes an observed timestamp; sliding-window queries "
           "address the most recent window only");
     }
-    return std::move(answer);
+    return answer;
   }
 
   /// \brief Monotone max over concurrent observers.

@@ -267,9 +267,9 @@ Result<MergedTable> SnapshotReducer::MergedRoot() {
     table.slot_count = slots_.size();
   }
   // Merge outside the table lock: publishes keep landing while a (possibly
-  // expensive) suffix rebuild runs; they'll be picked up by the next query.
-  CASTREAM_ASSIGN_OR_RETURN(
-      table.root, merge_cache_.Merge(snaps, seqs, options_.merge_policy));
+  // expensive) root-path rebuild runs; they'll be picked up by the next
+  // query.
+  CASTREAM_ASSIGN_OR_RETURN(table.root, merge_cache_.Merge(snaps, seqs));
   return table;
 }
 

@@ -19,17 +19,14 @@
 // a relay's publish payload carries an epoch-vector annex naming the
 // downstream publications its blob was merged from, and Answer() substitutes
 // those entries for the slot's own — so a root query over a tree of relays
-// still reports per-leaf-worker staleness (epoch-vector concatenation). Queries fold the table's slots, in their deterministic (worker,
-// shard) key order, through the same epoch-keyed MergeCache the in-process
-// driver uses — by default as a binary merge tree, so one worker
-// republishing one shard re-merges only that slot's O(log slots) root
-// path instead of the whole table. ReducerOptions::merge_policy selects
-// MergePolicy::kLinear to replay the serial slot-order fold bit-for-bit
-// (the debugging/oracle shape); either way every answer carries the epoch
-// vector it was computed from, and answers across policies are
-// answer-equivalent (merge order is an implementation detail of mergeable
-// summaries). Queries never wait on workers: a dead or wedged worker just
-// stops advancing its slots.
+// still reports per-leaf-worker staleness (epoch-vector concatenation).
+// Queries fold the table's slots, in their deterministic (worker, shard)
+// key order, through the same epoch-keyed MergeCache merge tree the
+// in-process driver uses, so one worker republishing one shard re-merges
+// only that slot's O(log slots) root path instead of the whole table.
+// Every answer carries the epoch vector it was computed from. Queries
+// never wait on workers: a dead or wedged worker just stops advancing its
+// slots.
 //
 // Shutdown() is a drain, not an abort: accepting stops, every open
 // connection's read side is half-closed so in-flight frames (already
@@ -61,7 +58,8 @@
 namespace castream::service {
 
 struct ReducerOptions {
-  /// Summary kind every worker must publish ("f2", "f0", "rarity", "hh").
+  /// Summary kind every worker must publish: any registry kind ("f2",
+  /// "f0", "rarity", "hh", "chh_mg", "chh_fast").
   std::string kind = "f2";
   /// Summary configuration and hash-family seed; all workers must agree
   /// (value-based family identity makes separate processes mergeable).
@@ -71,10 +69,6 @@ struct ReducerOptions {
   uint16_t port = 0;
   /// How often the accept loop rechecks the shutdown flag.
   std::chrono::milliseconds accept_poll{100};
-  /// How queries fold the snapshot table (src/driver/merge_cache.h):
-  /// kTree (default) re-merges only republished slots' root paths;
-  /// kLinear replays the serial slot-order fold bit-for-bit.
-  MergePolicy merge_policy = MergePolicy::kTree;
   /// Log publishes/rejections to stderr (the demo binary turns this on).
   bool log = false;
 };

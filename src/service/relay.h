@@ -18,8 +18,10 @@
 // correlated aggregates are built on: merge order and grouping are
 // implementation details, so folding workers through any tree of
 // intermediate merges yields the same (eps, delta) answer as one flat
-// merge — and with MergePolicy::kLinear at every node, bit-for-bit the
-// same bytes as a tier-grouped serial fold (what ci/relay_demo.sh pins).
+// merge — and, since every node folds its slots through the same
+// deterministic merge tree, bit-for-bit the same bytes as a tier-grouped
+// tree-order fold (what ci/relay_demo.sh pins against
+// `castream_served oracle --topology`).
 //
 // The upstream publish reuses every existing invariant:
 //   - identity: the relay's node id as the frame's worker, shard 0;

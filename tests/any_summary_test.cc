@@ -46,6 +46,36 @@ SummaryOptions SmallOptions() {
 const char* const kKindNames[] = {"f2", "f0", "rarity", "hh", "chh_mg",
                                   "chh_fast"};
 
+// Answer-level equality over a cutoff ladder: the scalar queries, plus the
+// hitter lists over a phi ladder for the kinds that answer them (hh,
+// chh_mg, chh_fast; the others must fail the same way on both sides).
+void ExpectSameAnswers(const AnySummary& a, const AnySummary& b,
+                       uint64_t y_max, const std::string& what) {
+  for (uint64_t c : {uint64_t{0}, uint64_t{100}, y_max / 2, y_max}) {
+    const auto qa = a.Query(c);
+    const auto qb = b.Query(c);
+    ASSERT_EQ(qa.ok(), qb.ok()) << what << " c=" << c;
+    if (qa.ok()) {
+      EXPECT_EQ(qa.value(), qb.value()) << what << " c=" << c;
+    }
+    for (double phi : {0.01, 0.1}) {
+      const auto ha = a.QueryHeavyHitters(c, phi);
+      const auto hb = b.QueryHeavyHitters(c, phi);
+      ASSERT_EQ(ha.ok(), hb.ok()) << what << " c=" << c;
+      if (!ha.ok()) continue;
+      ASSERT_EQ(ha.value().size(), hb.value().size())
+          << what << " c=" << c << " phi=" << phi;
+      for (size_t i = 0; i < ha.value().size(); ++i) {
+        EXPECT_EQ(ha.value()[i].item, hb.value()[i].item) << what;
+        EXPECT_EQ(ha.value()[i].estimated_frequency,
+                  hb.value()[i].estimated_frequency) << what;
+        EXPECT_EQ(ha.value()[i].estimated_f2_share,
+                  hb.value()[i].estimated_f2_share) << what;
+      }
+    }
+  }
+}
+
 TEST(AnySummaryTest, RegistryCoversEveryKindByTagAndName) {
   EXPECT_EQ(SummaryRegistry::Entries().size(), 6u);
   for (const char* name : kKindNames) {
@@ -62,7 +92,7 @@ TEST(AnySummaryTest, RegistryCoversEveryKindByTagAndName) {
   EXPECT_FALSE(MakeSummary("nope", SummaryOptions{}, 1).ok());
 }
 
-TEST(AnySummaryTest, EveryKindIngestsQueriesAndRoundTrips) {
+TEST(AnySummaryTest, EveryKindIngestsQueriesRoundTripsAndMergesWithEmpty) {
   const auto opts = SmallOptions();
   const auto stream = MakeStream(8000, opts.x_domain, opts.y_max, 21);
   for (const char* name : kKindNames) {
@@ -80,15 +110,24 @@ TEST(AnySummaryTest, EveryKindIngestsQueriesAndRoundTrips) {
     auto back = AnySummary::Deserialize(io::BytesOf(blob));
     ASSERT_TRUE(back.ok()) << name << ": " << back.status().ToString();
     EXPECT_EQ(back.value().kind(), summary.kind());
-    for (uint64_t c : {uint64_t{0}, uint64_t{100}, opts.y_max / 2,
-                       opts.y_max}) {
-      const auto qa = summary.Query(c);
-      const auto qb = back.value().Query(c);
-      ASSERT_EQ(qa.ok(), qb.ok()) << name << " c=" << c;
-      if (qa.ok()) {
-        EXPECT_EQ(qa.value(), qb.value()) << name << " c=" << c;
-      }
-    }
+    ExpectSameAnswers(summary, back.value(), opts.y_max,
+                      std::string(name) + " round trip");
+
+    // Merging an empty summary, in either direction, changes no answer.
+    // This identity is what lets the merge tree alias a never-published
+    // slot instead of merging a fresh summary in its place. It is
+    // answer-level, not byte-level: f2 merged into a fresh summary may
+    // keep fewer buckets.
+    AnySummary x_then_empty = summary.Clone();
+    ASSERT_TRUE(
+        x_then_empty.MergeFrom(MakeSummary(name, opts, 77).value()).ok())
+        << name;
+    ExpectSameAnswers(summary, x_then_empty, opts.y_max,
+                      std::string(name) + " x.MergeFrom(empty)");
+    AnySummary empty_then_x = MakeSummary(name, opts, 77).value();
+    ASSERT_TRUE(empty_then_x.MergeFrom(summary).ok()) << name;
+    ExpectSameAnswers(summary, empty_then_x, opts.y_max,
+                      std::string(name) + " empty.MergeFrom(x)");
   }
 }
 
@@ -186,10 +225,10 @@ TEST(AnySummaryTest, ShardedDriverRunsOnAnySummaryAndShipsShardBlobs) {
       ASSERT_TRUE(shard.ok()) << name << ": " << shard.status().ToString();
       ASSERT_TRUE(from_blobs.MergeFrom(shard.value()).ok()) << name;
     }
-    auto merged = driver.MergedSummary();
+    auto merged = driver.Summarize();
     ASSERT_TRUE(merged.ok()) << name;
     for (uint64_t c : {uint64_t{0}, uint64_t{777}, opts.y_max}) {
-      const auto qa = merged.value().Query(c);
+      const auto qa = merged.value()->Query(c);
       const auto qb = from_blobs.Query(c);
       ASSERT_EQ(qa.ok(), qb.ok()) << name << " c=" << c;
       if (qa.ok()) {

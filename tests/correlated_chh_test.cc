@@ -243,6 +243,49 @@ TEST(CorrelatedNestedMisraGriesTest, FoldNeverOvercounts) {
   }
 }
 
+TEST(CorrelatedNestedMisraGriesTest, MergeEmptiedNestedTableKeepsHeavyItem) {
+  // One heavy x spread evenly over more distinct y values than the y
+  // capacity, split across two shards that each fit their half. The merge's
+  // nested shrink subtracts the (k+1)-th largest counter, which equals every
+  // counter, so x's nested table comes out empty and its whole mass lives
+  // in the nested-loss slack. x must still be reported wherever it is a
+  // true phi-hitter, and no estimate may exceed the truth.
+  CorrelatedChhOptions opts;
+  opts.x_capacity_override = 4;
+  opts.y_capacity_override = 4;
+  CorrelatedNestedMisraGries left(opts);
+  CorrelatedNestedMisraGries right(opts);
+  ChhOracle oracle;
+  const uint64_t kHeavy = 9;
+  for (uint64_t y = 0; y < 8; ++y) {
+    (y < 4 ? left : right).Insert(kHeavy, y, 10);
+    oracle.Add(kHeavy, y, 10);
+  }
+  left.Insert(100, 0);
+  oracle.Add(100, 0);
+  ASSERT_TRUE(left.MergeFrom(right).ok());
+  // Only the light item's counter is left to fold: x's table is empty.
+  ASSERT_EQ(left.Query(UINT64_MAX).value(), 1.0);
+
+  constexpr double kPhi = 0.25;
+  for (uint64_t c : {uint64_t{3}, uint64_t{5}, UINT64_MAX}) {
+    const std::vector<uint64_t> truth = oracle.TrueHitters(c, kPhi);
+    ASSERT_NE(std::find(truth.begin(), truth.end(), kHeavy), truth.end());
+    auto hitters = left.QueryHeavyHitters(c, kPhi);
+    ASSERT_TRUE(hitters.ok());
+    for (uint64_t x : truth) {
+      bool found = false;
+      for (const HeavyHitter& h : hitters.value()) found |= (h.item == x);
+      EXPECT_TRUE(found) << "x=" << x << " c=" << c;
+    }
+    for (const HeavyHitter& h : hitters.value()) {
+      EXPECT_LE(h.estimated_frequency,
+                static_cast<double>(oracle.Frequency(h.item, c)))
+          << "x=" << h.item << " c=" << c;
+    }
+  }
+}
+
 TEST(CorrelatedFastChhTest, IntervalBracketsTheTruth) {
   // For every reported item, estimate comes with a certain interval:
   // estimate - stage error <= f_x(c) is not directly exposed, but the

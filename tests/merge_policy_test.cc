@@ -1,26 +1,23 @@
-// The dual-policy merge engine's contract (label: concurrency).
+// The merge engine's contract (label: concurrency).
 //
-// src/driver/merge_cache.h serves every query through one of two memoized
-// evaluation shapes: MergePolicy::kTree (the default binary merge tree,
-// O(log S) MergeFrom calls per changed slot) and MergePolicy::kLinear (the
-// serial shard-order prefix chain, the bit-for-bit oracle). This suite
-// pins the redesigned contract between them:
+// src/driver/merge_cache.h serves every query through one memoized
+// evaluation shape, a binary merge tree (O(log S) MergeFrom calls per
+// changed slot). This suite pins it:
 //
 //   * Cost: the tree's merge counts are exactly the structural ones — a
 //     full build over S populated leaves is S-1 merges, single-leaf churn
 //     re-merges only the log2(S) root path (slot position irrelevant),
 //     and never-published slots are aliased for free. Verified both on a
 //     bare MergeCache at S=64 and through a 64-shard ShardedDriver under
-//     single-shard churn — the ISSUE's acceptance criterion.
-//   * Correctness: per policy, an incrementally-maintained memo answers
-//     bit-for-bit like a from-scratch rebuild over the same snapshots
-//     (stale parents are never served), and null leaves contribute
-//     nothing (checked exactly via tuples_inserted).
-//   * Equivalence: across policies, answers are answer-equivalent, not
-//     bit-equal — for the f2/f0/rarity/hh registry kinds, under randomized slot
-//     arrival orders, both policies' estimates land within the summaries'
-//     accuracy band of exact ground truth (TrialsWithin, the same
-//     (eps, delta) shape every guarantee in the paper has).
+//     single-shard churn.
+//   * Correctness: an incrementally churned memo answers bit-for-bit like
+//     test::TreeOrderFold over the same snapshots (stale parents are never
+//     served), and null leaves contribute nothing (checked exactly via
+//     tuples_inserted).
+//   * Accuracy: for the f2/f0/rarity/hh registry kinds, under randomized
+//     slot arrival orders, the tree's estimates land within the
+//     summaries' accuracy band of exact ground truth (TrialsWithin, the
+//     same (eps, delta) shape every guarantee in the paper has).
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
@@ -44,6 +41,7 @@ namespace {
 using test::ExactFk;
 using test::F0Oracle;
 using test::TestRng;
+using test::TreeOrderFold;
 using test::TrialsWithin;
 
 // All F2 sketches in this suite share one sketch seed (equal hash
@@ -92,7 +90,7 @@ std::vector<std::shared_ptr<const CorrelatedF2Sketch>> MakeSnapshots(
 // ---------------------------------------------------------------------------
 // Cost shape, bare engine.
 
-TEST(MergePolicyTest, TreeCountsFullBuildAndRootPathChurnAtS64) {
+TEST(MergeTreeTest, TreeCountsFullBuildAndRootPathChurnAtS64) {
   const auto opts = F2Options();
   constexpr size_t kSlots = 64;
   auto snaps = MakeSnapshots(kSlots, opts, 1);
@@ -118,20 +116,9 @@ TEST(MergePolicyTest, TreeCountsFullBuildAndRootPathChurnAtS64) {
     expected += 6;
     EXPECT_EQ(cache.merges_performed(), expected) << "slot " << slot;
   }
-
-  // The linear chain, by contrast, pays S merges for slot-0 churn.
-  snaps[0] = MakeSnapshots(1, opts, 99)[0];
-  ++epochs[0];
-  ASSERT_TRUE(cache.Merge(snaps, epochs, MergePolicy::kLinear).ok());
-  const uint64_t after_linear_build = expected + kSlots;  // first fold: all
-  EXPECT_EQ(cache.merges_performed(), after_linear_build);
-  snaps[0] = MakeSnapshots(1, opts, 100)[0];
-  ++epochs[0];
-  ASSERT_TRUE(cache.Merge(snaps, epochs, MergePolicy::kLinear).ok());
-  EXPECT_EQ(cache.merges_performed(), after_linear_build + kSlots);
 }
 
-TEST(MergePolicyTest, TreeHandlesNonPowerOfTwoAndNullSlots) {
+TEST(MergeTreeTest, TreeHandlesNonPowerOfTwoAndNullSlots) {
   const auto opts = F2Options();
   auto made = MakeSnapshots(5, opts, 2);
   MergeCache<CorrelatedF2Sketch> cache(
@@ -161,48 +148,44 @@ TEST(MergePolicyTest, TreeHandlesNonPowerOfTwoAndNullSlots) {
                 made[2]->tuples_inserted() + made[4]->tuples_inserted());
 }
 
-// Incrementally churned memo == from-scratch rebuild, bit-for-bit, per
-// policy (the "stale parents are never served" pin).
-TEST(MergePolicyTest, ChurnedMemoMatchesFreshRebuildBitForBit) {
+// Incrementally churned memo == an independent from-scratch tree-order
+// fold, bit-for-bit (the "stale parents are never served" pin).
+TEST(MergeTreeTest, ChurnedMemoMatchesFreshRebuildBitForBit) {
   const auto opts = F2Options();
   constexpr size_t kSlots = 11;  // non-power-of-two on purpose
   auto snaps = MakeSnapshots(kSlots, opts, 3);
   std::vector<uint64_t> epochs(kSlots, 1);
 
-  for (MergePolicy policy : {MergePolicy::kTree, MergePolicy::kLinear}) {
-    MergeCache<CorrelatedF2Sketch> churned(
-        [&] { return MakeCorrelatedF2(opts, kSketchSeed); });
-    ASSERT_TRUE(churned.Merge(snaps, epochs, policy).ok());
-    Xoshiro256 rng = TestRng(74);
-    for (int round = 0; round < 20; ++round) {
-      const size_t slot = rng.NextBounded(kSlots);
-      snaps[slot] = MakeSnapshots(1, opts, 200 + round)[0];
-      ++epochs[slot];
-      ASSERT_TRUE(churned.Merge(snaps, epochs, policy).ok());
-    }
-    auto reused = churned.Merge(snaps, epochs, policy);
-    ASSERT_TRUE(reused.ok());
+  MergeCache<CorrelatedF2Sketch> churned(
+      [&] { return MakeCorrelatedF2(opts, kSketchSeed); });
+  ASSERT_TRUE(churned.Merge(snaps, epochs).ok());
+  Xoshiro256 rng = TestRng(74);
+  for (int round = 0; round < 20; ++round) {
+    const size_t slot = rng.NextBounded(kSlots);
+    snaps[slot] = MakeSnapshots(1, opts, 200 + round)[0];
+    ++epochs[slot];
+    ASSERT_TRUE(churned.Merge(snaps, epochs).ok());
+  }
+  auto reused = churned.Merge(snaps, epochs);
+  ASSERT_TRUE(reused.ok());
 
-    MergeCache<CorrelatedF2Sketch> fresh(
-        [&] { return MakeCorrelatedF2(opts, kSketchSeed); });
-    auto rebuilt = fresh.Merge(snaps, epochs, policy);
-    ASSERT_TRUE(rebuilt.ok());
-    for (uint64_t c : {uint64_t{0}, opts.y_max / 3, opts.y_max}) {
-      const auto qa = reused.value()->Query(c);
-      const auto qb = rebuilt.value()->Query(c);
-      ASSERT_EQ(qa.ok(), qb.ok()) << "c=" << c;
-      if (qa.ok()) {
-        ASSERT_EQ(qa.value(), qb.value()) << "c=" << c;
-      }
+  const auto rebuilt = TreeOrderFold(snaps);
+  ASSERT_NE(rebuilt, nullptr);
+  for (uint64_t c : {uint64_t{0}, opts.y_max / 3, opts.y_max}) {
+    const auto qa = reused.value()->Query(c);
+    const auto qb = rebuilt->Query(c);
+    ASSERT_EQ(qa.ok(), qb.ok()) << "c=" << c;
+    if (qa.ok()) {
+      ASSERT_EQ(qa.value(), qb.value()) << "c=" << c;
     }
   }
 }
 
 // ---------------------------------------------------------------------------
-// Cost shape, through the driver (the ISSUE acceptance criterion: S=64
-// single-shard churn performs O(log S) = 6 MergeFrom calls per query).
+// Cost shape, through the driver: S=64 single-shard churn performs
+// O(log S) = 6 MergeFrom calls per query.
 
-TEST(MergePolicyTest, DriverSingleShardChurnAtS64IsLogS) {
+TEST(MergeTreeTest, DriverSingleShardChurnAtS64IsLogS) {
   const auto opts = F2Options();
   ShardedDriverOptions dopts;
   dopts.shards = 64;
@@ -236,15 +219,16 @@ TEST(MergePolicyTest, DriverSingleShardChurnAtS64IsLogS) {
 }
 
 // ---------------------------------------------------------------------------
-// Answer equivalence across policies, the f2/f0/rarity/hh registry kinds, randomized
-// slot arrival orders.
+// Accuracy of the tree fold for the f2/f0/rarity/hh registry kinds under
+// randomized slot arrival orders.
 
 struct KindCase {
   std::string_view name;
   // Exact ground truth at cutoff c for the kind's scalar query.
   double (*truth)(const std::vector<Tuple>& stream, uint64_t c);
-  // Acceptance band around the truth (generous: equivalence, not accuracy,
-  // is under test — the per-kind accuracy suites pin tight bands).
+  // Acceptance band around the truth (generous: merge-order robustness,
+  // not accuracy, is under test — the per-kind accuracy suites pin tight
+  // bands).
   double (*tolerance)(double truth);
 };
 
@@ -278,7 +262,7 @@ constexpr KindCase kKindCases[] = {
     {"hh", &F2Truth, &RelativeBand},  // the hh scalar query is backing F2
 };
 
-TEST(MergePolicyTest, TreeAndLinearAnswerEquivalentForAllKinds) {
+TEST(MergeTreeTest, TreeAnswersWithinExactBandForAllKinds) {
   constexpr size_t kSlots = 9;
   constexpr uint64_t kYMax = (uint64_t{1} << 12) - 1;
   SummaryOptions sopts;
@@ -326,22 +310,17 @@ TEST(MergePolicyTest, TreeAndLinearAnswerEquivalentForAllKinds) {
         snaps[s] =
             std::make_shared<const AnySummary>(std::move(parts[s]));
         epochs[s] = 1;
-        tree = cache.Merge(snaps, epochs, MergePolicy::kTree);
+        tree = cache.Merge(snaps, epochs);
         if (!tree.ok()) return false;
       }
-      const auto linear = cache.Merge(snaps, epochs, MergePolicy::kLinear);
-      if (!linear.ok()) return false;
 
       for (uint64_t c : {kYMax / 4, kYMax / 2, kYMax}) {
         const double truth = kind.truth(stream, c);
-        const double band = kind.tolerance(truth);
         const auto qt = tree.value()->Query(c);
-        const auto ql = linear.value()->Query(c);
-        if (!qt.ok() || !ql.ok()) return false;
-        // Both evaluation shapes must estimate the same exact quantity
-        // within the summary's band — that is the relaxed contract.
-        if (std::abs(qt.value() - truth) > band) return false;
-        if (std::abs(ql.value() - truth) > band) return false;
+        if (!qt.ok()) return false;
+        if (std::abs(qt.value() - truth) > kind.tolerance(truth)) {
+          return false;
+        }
       }
       return true;
     }));

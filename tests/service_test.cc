@@ -96,12 +96,12 @@ TEST(ServiceTest, PublishedAnswersEqualDriverOracleExactly) {
     auto driver = MakeDriver(kind, /*shards=*/3);
     const auto stream = DemoStream(6000);
     driver->InsertBatch(stream);
-    // MergedSummary flushes, publishes, and tree-merges the shard
+    // Summarize flushes, publishes, and tree-merges the shard
     // snapshots; the reducer runs the same MergeCache engine over its
     // (worker, shard) table, which for one worker holds the same leaves in
     // the same order — identical tree shape, so equality must be
     // bit-for-bit.
-    auto oracle = driver->MergedSummary();
+    auto oracle = driver->Summarize();
     ASSERT_TRUE(oracle.ok()) << oracle.status().ToString();
 
     service::ShardPublisher publisher(FastPublisher(reducer->port()));
@@ -113,7 +113,7 @@ TEST(ServiceTest, PublishedAnswersEqualDriverOracleExactly) {
       auto reply =
           service::QueryServed("127.0.0.1", reducer->port(), cutoff);
       ASSERT_TRUE(reply.ok()) << kind << ": " << reply.status().ToString();
-      const auto want = oracle.value().Query(cutoff);
+      const auto want = oracle.value()->Query(cutoff);
       ASSERT_EQ(reply.value().status.ok(), want.ok()) << kind;
       if (want.ok()) {
         EXPECT_EQ(reply.value().estimate, want.value())
@@ -256,7 +256,7 @@ TEST(ServiceTest, GarbageFramesDropOnlyThatConnection) {
 TEST(ServiceTest, ReducerRestartOnSamePortAndRepublish) {
   auto driver = MakeDriver("f0", /*shards=*/2);
   driver->InsertBatch(DemoStream(4000));
-  auto oracle = driver->MergedSummary();
+  auto oracle = driver->Summarize();
   ASSERT_TRUE(oracle.ok());
 
   uint16_t port = 0;
@@ -288,7 +288,7 @@ TEST(ServiceTest, ReducerRestartOnSamePortAndRepublish) {
   ASSERT_TRUE(service::PublishFreshSnapshots(second, *driver).ok());
   auto reply = service::QueryServed("127.0.0.1", port, 4095);
   ASSERT_TRUE(reply.ok());
-  const auto want = oracle.value().Query(4095);
+  const auto want = oracle.value()->Query(4095);
   ASSERT_TRUE(want.ok());
   ASSERT_TRUE(reply.value().status.ok());
   EXPECT_EQ(reply.value().estimate, want.value())
@@ -302,7 +302,7 @@ TEST(ServiceTest, PublisherSurvivesReducerRestartOnOneConnection) {
   // and re-offers everything.
   auto driver = MakeDriver("f2", /*shards=*/2);
   driver->InsertBatch(DemoStream(3000));
-  auto oracle = driver->MergedSummary();
+  auto oracle = driver->Summarize();
   ASSERT_TRUE(oracle.ok());
 
   auto started = service::SnapshotReducer::Start(ReducerOpts("f2"));
@@ -324,7 +324,7 @@ TEST(ServiceTest, PublisherSurvivesReducerRestartOnOneConnection) {
       << "the publisher must have noticed the restart and reconnected";
   auto reply = service::QueryServed("127.0.0.1", port, 4095);
   ASSERT_TRUE(reply.ok());
-  const auto want = oracle.value().Query(4095);
+  const auto want = oracle.value()->Query(4095);
   ASSERT_TRUE(want.ok() && reply.value().status.ok());
   EXPECT_EQ(reply.value().estimate, want.value());
 }
@@ -461,7 +461,7 @@ TEST(RelayTest, RelayChainAnswersMatchDriverMergeBitForBit) {
 
     auto driver = MakeDriver(kind, /*shards=*/3);
     driver->InsertBatch(DemoStream(5000));
-    auto oracle = driver->MergedSummary();
+    auto oracle = driver->Summarize();
     ASSERT_TRUE(oracle.ok());
 
     service::ShardPublisher publisher(FastPublisher(relay->port()));
@@ -478,7 +478,7 @@ TEST(RelayTest, RelayChainAnswersMatchDriverMergeBitForBit) {
                             uint64_t{4095}}) {
       auto reply = service::QueryServed("127.0.0.1", root->port(), cutoff);
       ASSERT_TRUE(reply.ok()) << kind;
-      const auto want = oracle.value().Query(cutoff);
+      const auto want = oracle.value()->Query(cutoff);
       ASSERT_EQ(reply.value().status.ok(), want.ok()) << kind;
       if (want.ok()) {
         EXPECT_EQ(reply.value().estimate, want.value())

@@ -83,13 +83,13 @@ TEST(ShardedConcurrencyTest, MultiWriterF0MatchesSingleThreadedReference) {
   FeedConcurrently(driver, stream, /*writers=*/4);
   EXPECT_EQ(driver.tuples_processed(), stream.size());
 
-  auto merged = driver.MergedSummary();
+  auto merged = driver.Summarize();
   ASSERT_TRUE(merged.ok());
   EXPECT_EQ(reference.StoredTuplesEquivalent(),
-            merged.value().StoredTuplesEquivalent());
+            merged.value()->StoredTuplesEquivalent());
   for (uint64_t c : {uint64_t{0}, uint64_t{100}, y_max / 2, y_max}) {
     const auto ra = reference.Query(c);
-    const auto rb = merged.value().Query(c);
+    const auto rb = merged.value()->Query(c);
     ASSERT_EQ(ra.ok(), rb.ok()) << "c=" << c;
     if (ra.ok()) {
       ASSERT_EQ(ra.value(), rb.value()) << "c=" << c;
@@ -125,8 +125,9 @@ TEST(ShardedConcurrencyTest, MultiWriterF2StressStaysAccurate) {
 
   auto r = driver.Query(opts.y_max);
   ASSERT_TRUE(r.ok());
-  EXPECT_TRUE(WithinRelativeError(r.value(), truth.Query(opts.y_max), 0.5))
-      << "est=" << r.value() << " truth=" << truth.Query(opts.y_max);
+  EXPECT_TRUE(
+      WithinRelativeError(r.value().estimate, truth.Query(opts.y_max), 0.5))
+      << "est=" << r.value().estimate << " truth=" << truth.Query(opts.y_max);
 }
 
 TEST(ShardedConcurrencyTest, ConcurrentWritersDuringMerges) {
@@ -157,15 +158,15 @@ TEST(ShardedConcurrencyTest, ConcurrentWritersDuringMerges) {
   // Race a few merges against the writers; each must succeed on whatever
   // consistent shard states it observes.
   for (int i = 0; i < 3; ++i) {
-    auto snapshot = driver.MergedSummary();
+    auto snapshot = driver.Summarize();
     ASSERT_TRUE(snapshot.ok());
   }
   for (auto& t : threads) t.join();
   driver.WaitIdle();
   EXPECT_EQ(driver.tuples_processed(), stream.size());
-  auto final_merge = driver.MergedSummary();
+  auto final_merge = driver.Summarize();
   ASSERT_TRUE(final_merge.ok());
-  ASSERT_TRUE(final_merge.value().Query(y_max).ok());
+  ASSERT_TRUE(final_merge.value()->Query(y_max).ok());
 }
 
 TEST(ShardedConcurrencyTest, DestructorDrainsDefaultWriterBacklog) {

@@ -36,21 +36,21 @@ TEST(ShardedEmptyDriverTest, F2EmptyDriverAnswersLikeFreshSummary) {
     const auto driver_q = driver.Query(c);
     ASSERT_EQ(fresh_q.ok(), driver_q.ok()) << "c=" << c;
     ASSERT_TRUE(driver_q.ok()) << "c=" << c;
-    EXPECT_EQ(driver_q.value(), 0.0) << "c=" << c;
-    EXPECT_EQ(driver_q.value(), fresh_q.value()) << "c=" << c;
+    EXPECT_EQ(driver_q.value().estimate, 0.0) << "c=" << c;
+    EXPECT_EQ(driver_q.value().estimate, fresh_q.value()) << "c=" << c;
   }
   // The snapshot is a fresh summary, not a merge artifact.
-  auto merged = driver.MergedSummary();
+  auto merged = driver.Summarize();
   ASSERT_TRUE(merged.ok());
-  EXPECT_EQ(merged.value().tuples_inserted(), 0u);
-  EXPECT_EQ(merged.value().VirtualRootLevels(), fresh.VirtualRootLevels());
+  EXPECT_EQ(merged.value()->tuples_inserted(), 0u);
+  EXPECT_EQ(merged.value()->VirtualRootLevels(), fresh.VirtualRootLevels());
 
   // And ingest after the empty query still works normally.
   driver.Insert(3, 4);
   driver.Flush();
   auto after = driver.Query(opts.y_max);
   ASSERT_TRUE(after.ok());
-  EXPECT_EQ(after.value(), 1.0);  // single item, exact while sparse
+  EXPECT_EQ(after.value().estimate, 1.0);  // single item, exact while sparse
 }
 
 TEST(ShardedEmptyDriverTest, F0EmptyDriverAnswersLikeFreshSummary) {
@@ -70,7 +70,7 @@ TEST(ShardedEmptyDriverTest, F0EmptyDriverAnswersLikeFreshSummary) {
     const auto driver_q = driver.Query(c);
     ASSERT_EQ(fresh_q.ok(), driver_q.ok()) << "c=" << c;
     ASSERT_TRUE(driver_q.ok()) << "c=" << c;
-    EXPECT_EQ(driver_q.value(), 0.0) << "c=" << c;
+    EXPECT_EQ(driver_q.value().estimate, 0.0) << "c=" << c;
   }
 }
 
@@ -93,7 +93,7 @@ TEST(ShardedEmptyDriverTest, AnySummaryEmptyDriverEveryKind) {
     const auto driver_q = driver.Query(500);
     ASSERT_EQ(fresh_q.ok(), driver_q.ok()) << name;
     if (fresh_q.ok()) {
-      EXPECT_EQ(fresh_q.value(), driver_q.value()) << name;
+      EXPECT_EQ(fresh_q.value(), driver_q.value().estimate) << name;
     }
   }
 }

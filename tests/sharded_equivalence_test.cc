@@ -1,15 +1,16 @@
 // The sharded driver is documented as *deterministic* with a single writer:
 // each shard receives its x-partitioned sub-stream in arrival order, batched
 // ingest is exactly equivalent to one-at-a-time ingest, and query-time
-// merging is a pure function of the shard states. Under MergePolicy::kLinear
-// — the policy this suite pins — an S-shard driver run must return answers
-// bit-for-bit equal to the serial "merge oracle": feed S summaries by
-// partitioning the stream with the driver's own ShardOf, then merge them in
-// shard order. Checked for every summary type, plus the S=1 degenerate case
-// against a plain unsharded summary. (The default tree policy folds the
-// same shard states in a different order; its contract is
-// answer-equivalence, pinned by tests/merge_policy_test.cc.)
+// merging is a pure function of the shard states. So the default blocking
+// path of an S-shard driver must return answers bit-for-bit equal to the
+// "merge oracle": feed S summaries by partitioning the stream with the
+// driver's own ShardOf, then fold them with test::TreeOrderFold — an
+// implementation of the tree order independent of the driver's MergeCache
+// — passing shards that received no tuples as null. Checked for every
+// summary type, plus the S=1 degenerate case against a plain unsharded
+// summary.
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -28,6 +29,7 @@ namespace castream {
 namespace {
 
 using test::TestRng;
+using test::TreeOrderFold;
 
 std::vector<Tuple> MakeStream(size_t n, uint64_t x_domain, uint64_t y_max,
                               uint64_t seed) {
@@ -71,34 +73,25 @@ void FeedDriver(ShardedDriver<Summary>& driver,
   }
 }
 
-/// \brief The driver-side answer this suite compares: a blocking summarize
-/// under the linear policy — the path documented bit-for-bit equal to the
-/// serial shard-order merge — returned by value like MergedSummary.
-template <typename Summary>
-Result<Summary> LinearMergedSummary(ShardedDriver<Summary>& driver) {
-  auto merged = driver.Summarize(QueryOptions{
-      .mode = QueryMode::kBlocking, .policy = MergePolicy::kLinear});
-  if (!merged.ok()) return merged.status();
-  return SummaryDeepCopy(*merged.value());
-}
-
-/// \brief Serial merge oracle: partition by the driver's own ShardOf, feed
-/// S summaries in stream order, merge them in shard order.
+/// \brief Tree-order merge oracle: partition by the driver's own ShardOf,
+/// feed one summary per shard in stream order, and fold them with
+/// test::TreeOrderFold. A shard that received no tuples never publishes,
+/// so it is a null leaf; with no tuples at all the answer is a fresh
+/// summary. Returned by value (a copy answers exactly like the original).
 template <typename Summary, typename Make>
 Summary MergeOracle(const ShardedDriver<Summary>& driver, Make make,
                     const std::vector<Tuple>& stream) {
-  std::vector<Summary> shards;
-  for (uint32_t s = 0; s < driver.shard_count(); ++s) shards.push_back(make());
   std::vector<std::vector<Tuple>> parts(driver.shard_count());
   for (const Tuple& t : stream) parts[driver.ShardOf(t.x)].push_back(t);
+  std::vector<std::shared_ptr<const Summary>> shards(driver.shard_count());
   for (uint32_t s = 0; s < driver.shard_count(); ++s) {
-    shards[s].InsertBatch(std::span<const Tuple>(parts[s]));
+    if (parts[s].empty()) continue;
+    Summary shard = make();
+    shard.InsertBatch(std::span<const Tuple>(parts[s]));
+    shards[s] = std::make_shared<const Summary>(std::move(shard));
   }
-  Summary merged = make();
-  for (const Summary& shard : shards) {
-    EXPECT_TRUE(merged.MergeFrom(shard).ok());
-  }
-  return merged;
+  const auto folded = TreeOrderFold(shards);
+  return folded != nullptr ? *folded : make();
 }
 
 template <typename Summary>
@@ -136,13 +129,13 @@ TEST(ShardedEquivalenceTest, F2DriverMatchesMergeOracle) {
   dopts.batch_size = 256;
   ShardedDriver<CorrelatedF2Sketch> driver(dopts, make);
   FeedDriver(driver, stream);
-  auto merged = LinearMergedSummary(driver);
+  auto merged = driver.Summarize();
   ASSERT_TRUE(merged.ok());
   EXPECT_EQ(driver.tuples_processed(), stream.size());
 
   const auto oracle = MergeOracle(driver, make, stream);
-  ASSERT_TRUE(merged.value().ValidateInvariants().ok());
-  ExpectIdenticalScalarQueries(oracle, merged.value(), opts.y_max);
+  ASSERT_TRUE(merged.value()->ValidateInvariants().ok());
+  ExpectIdenticalScalarQueries(oracle, *merged.value(), opts.y_max);
 }
 
 TEST(ShardedEquivalenceTest, SingleShardDriverMatchesUnshardedSummary) {
@@ -160,9 +153,9 @@ TEST(ShardedEquivalenceTest, SingleShardDriverMatchesUnshardedSummary) {
   dopts.shards = 1;
   ShardedDriver<CorrelatedF2Sketch> driver(dopts, make);
   FeedDriver(driver, stream);
-  auto merged = LinearMergedSummary(driver);
+  auto merged = driver.Summarize();
   ASSERT_TRUE(merged.ok());
-  ExpectIdenticalScalarQueries(unsharded, merged.value(), opts.y_max);
+  ExpectIdenticalScalarQueries(unsharded, *merged.value(), opts.y_max);
 }
 
 TEST(ShardedEquivalenceTest, F0DriverMatchesMergeOracle) {
@@ -178,13 +171,13 @@ TEST(ShardedEquivalenceTest, F0DriverMatchesMergeOracle) {
   dopts.shards = 4;
   ShardedDriver<CorrelatedF0Sketch> driver(dopts, make);
   FeedDriver(driver, stream);
-  auto merged = LinearMergedSummary(driver);
+  auto merged = driver.Summarize();
   ASSERT_TRUE(merged.ok());
 
   const auto oracle = MergeOracle(driver, make, stream);
   EXPECT_EQ(oracle.StoredTuplesEquivalent(),
-            merged.value().StoredTuplesEquivalent());
-  ExpectIdenticalScalarQueries(oracle, merged.value(), y_max);
+            merged.value()->StoredTuplesEquivalent());
+  ExpectIdenticalScalarQueries(oracle, *merged.value(), y_max);
 }
 
 TEST(ShardedEquivalenceTest, RarityDriverMatchesMergeOracle) {
@@ -201,11 +194,11 @@ TEST(ShardedEquivalenceTest, RarityDriverMatchesMergeOracle) {
   dopts.batch_size = 100;
   ShardedDriver<CorrelatedRaritySketch> driver(dopts, make);
   FeedDriver(driver, stream);
-  auto merged = LinearMergedSummary(driver);
+  auto merged = driver.Summarize();
   ASSERT_TRUE(merged.ok());
 
   const auto oracle = MergeOracle(driver, make, stream);
-  ExpectIdenticalScalarQueries(oracle, merged.value(), y_max);
+  ExpectIdenticalScalarQueries(oracle, *merged.value(), y_max);
 }
 
 TEST(ShardedEquivalenceTest, HeavyHittersDriverMatchesMergeOracle) {
@@ -218,19 +211,19 @@ TEST(ShardedEquivalenceTest, HeavyHittersDriverMatchesMergeOracle) {
   dopts.shards = 4;
   ShardedDriver<CorrelatedF2HeavyHitters> driver(dopts, make);
   FeedDriver(driver, stream);
-  auto merged = LinearMergedSummary(driver);
+  auto merged = driver.Summarize();
   ASSERT_TRUE(merged.ok());
 
   const auto oracle = MergeOracle(driver, make, stream);
   for (uint64_t c : CutoffLadder(opts.y_max, 101)) {
     const auto fa = oracle.QueryF2(c);
-    const auto fb = merged.value().QueryF2(c);
+    const auto fb = merged.value()->QueryF2(c);
     ASSERT_EQ(fa.ok(), fb.ok()) << "c=" << c;
     if (fa.ok()) {
       ASSERT_EQ(fa.value(), fb.value()) << "c=" << c;
     }
     const auto ha = oracle.Query(c, 0.1);
-    const auto hb = merged.value().Query(c, 0.1);
+    const auto hb = merged.value()->Query(c, 0.1);
     ASSERT_EQ(ha.ok(), hb.ok()) << "c=" << c;
     if (!ha.ok()) continue;
     ASSERT_EQ(ha.value().size(), hb.value().size()) << "c=" << c;
@@ -243,8 +236,8 @@ TEST(ShardedEquivalenceTest, HeavyHittersDriverMatchesMergeOracle) {
 }
 
 // The two counter-based CHH kinds are fully deterministic, so the driver
-// under the linear policy must match the serial merge oracle bit for bit —
-// scalar queries, the ranked hitter lists, and the serialized bytes.
+// must match the tree-order merge oracle bit for bit — scalar queries, the
+// ranked hitter lists, and the serialized bytes.
 template <typename Chh>
 void ChhDriverMatchesMergeOracle(uint64_t stream_seed) {
   CorrelatedChhOptions opts;
@@ -258,17 +251,17 @@ void ChhDriverMatchesMergeOracle(uint64_t stream_seed) {
   dopts.shards = 4;
   ShardedDriver<Chh> driver(dopts, make);
   FeedDriver(driver, stream);
-  auto merged = LinearMergedSummary(driver);
+  auto merged = driver.Summarize();
   ASSERT_TRUE(merged.ok());
   EXPECT_EQ(driver.tuples_processed(), stream.size());
 
   const auto oracle = MergeOracle(driver, make, stream);
-  EXPECT_EQ(oracle.TotalWeight(), merged.value().TotalWeight());
-  EXPECT_EQ(oracle.PrimaryDecrements(), merged.value().PrimaryDecrements());
-  ExpectIdenticalScalarQueries(oracle, merged.value(), y_max);
+  EXPECT_EQ(oracle.TotalWeight(), merged.value()->TotalWeight());
+  EXPECT_EQ(oracle.PrimaryDecrements(), merged.value()->PrimaryDecrements());
+  ExpectIdenticalScalarQueries(oracle, *merged.value(), y_max);
   for (uint64_t c : CutoffLadder(y_max, 102)) {
     const auto ha = oracle.QueryHeavyHitters(c, 0.05);
-    const auto hb = merged.value().QueryHeavyHitters(c, 0.05);
+    const auto hb = merged.value()->QueryHeavyHitters(c, 0.05);
     ASSERT_EQ(ha.ok(), hb.ok()) << "c=" << c;
     if (!ha.ok()) continue;
     ASSERT_EQ(ha.value().size(), hb.value().size()) << "c=" << c;
@@ -283,7 +276,7 @@ void ChhDriverMatchesMergeOracle(uint64_t stream_seed) {
   std::string oracle_blob;
   std::string merged_blob;
   ASSERT_TRUE(oracle.Serialize(&oracle_blob).ok());
-  ASSERT_TRUE(merged.value().Serialize(&merged_blob).ok());
+  ASSERT_TRUE(merged.value()->Serialize(&merged_blob).ok());
   EXPECT_EQ(oracle_blob, merged_blob);
 }
 
@@ -296,8 +289,9 @@ TEST(ShardedEquivalenceTest, FastChhDriverMatchesMergeOracle) {
 }
 
 TEST(ShardedEquivalenceTest, RepeatedMergesAndContinuedIngest) {
-  // MergedSummary must leave the shards intact: query, keep ingesting, and
-  // query again — the second answer covers the whole stream so far.
+  // Summarize must leave the shards intact: query, keep ingesting, and
+  // query again — the second answer, served from the incrementally
+  // re-merged tree, covers the whole stream so far.
   const auto opts = FrameworkOptions();
   AmsF2SketchFactory factory(AmsDimsFor(opts.eps, 1e-4, 4), /*seed=*/47);
   CorrelatedSketchOptions patched = opts;
@@ -310,18 +304,18 @@ TEST(ShardedEquivalenceTest, RepeatedMergesAndContinuedIngest) {
   ShardedDriver<CorrelatedF2Sketch> driver(dopts, make);
   const size_t half = stream.size() / 2;
   driver.InsertBatch(std::span<const Tuple>(stream.data(), half));
-  auto first = LinearMergedSummary(driver);
+  auto first = driver.Summarize();
   ASSERT_TRUE(first.ok());
   driver.InsertBatch(
       std::span<const Tuple>(stream.data() + half, stream.size() - half));
-  auto second = LinearMergedSummary(driver);
+  auto second = driver.Summarize();
   ASSERT_TRUE(second.ok());
   EXPECT_EQ(driver.tuples_processed(), stream.size());
 
   const auto oracle = MergeOracle(driver, make, stream);
-  ExpectIdenticalScalarQueries(oracle, second.value(), opts.y_max);
+  ExpectIdenticalScalarQueries(oracle, *second.value(), opts.y_max);
   // And the first snapshot answers over the prefix only.
-  EXPECT_EQ(first.value().tuples_inserted(), half);
+  EXPECT_EQ(first.value()->tuples_inserted(), half);
 }
 
 }  // namespace

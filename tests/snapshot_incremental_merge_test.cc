@@ -1,20 +1,16 @@
 // The merge engine's incremental reuse (label: concurrency).
 //
 // ShardedDriver's MergeCache memoizes merges keyed by shard snapshot
-// epochs — as a binary merge tree under the default MergePolicy::kTree,
-// and as the shard-order prefix chain under MergePolicy::kLinear. These
-// tests pin the properties that make the memo safe to rely on:
-//   * Per policy, answers are identical whether the memo is reused or
-//     rebuilt from scratch (InvalidateSnapshotCache) — catching
-//     stale-epoch and double-merge bugs — including the S=1 and
-//     empty-driver edges.
+// epochs in a binary merge tree. These tests pin the properties that make
+// the memo safe to rely on:
+//   * Answers are identical whether the memo is reused or rebuilt from
+//     scratch (InvalidateSnapshotCache) — catching stale-epoch and
+//     double-merge bugs — including the S=1 and empty-driver edges.
 //   * The work is really skipped, observable via the driver's shard-merge
-//     counter: a repeated blocking Query (or MergedSummary) with no
-//     intervening ingest performs zero shard merges under either policy;
-//     under kTree, ingest confined to one shard re-merges only that
-//     leaf's root path (log2 S nodes, wherever the shard sits); under
-//     kLinear, ingest confined to the last shard re-merges only that
-//     suffix while the first shard re-merges everything.
+//     counter: a repeated blocking Query (or Summarize) with no
+//     intervening ingest performs zero shard merges, and ingest confined
+//     to one shard re-merges only that leaf's root path (log2 S nodes,
+//     wherever the shard sits).
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -59,13 +55,12 @@ std::vector<uint64_t> CutoffLadder(uint64_t y_max) {
   return cutoffs;
 }
 
+// Snapshot-mode answers over the cutoff ladder.
 template <typename Driver>
-std::vector<Result<double>> LadderAnswers(
-    Driver& driver, uint64_t y_max,
-    const QueryOptions& options = {.mode = QueryMode::kSnapshot}) {
+std::vector<Result<double>> LadderAnswers(Driver& driver, uint64_t y_max) {
   std::vector<Result<double>> answers;
   for (uint64_t c : CutoffLadder(y_max)) {
-    auto answer = driver.Query(c, options);
+    auto answer = driver.Query(c, {.mode = QueryMode::kSnapshot});
     if (answer.ok()) {
       answers.push_back(Result<double>(answer.value().estimate));
     } else {
@@ -74,13 +69,6 @@ std::vector<Result<double>> LadderAnswers(
   }
   return answers;
 }
-
-constexpr QueryOptions kSnapshotTree{.mode = QueryMode::kSnapshot,
-                                     .policy = MergePolicy::kTree};
-constexpr QueryOptions kSnapshotLinear{.mode = QueryMode::kSnapshot,
-                                       .policy = MergePolicy::kLinear};
-constexpr QueryOptions kBlockingLinear{.mode = QueryMode::kBlocking,
-                                       .policy = MergePolicy::kLinear};
 
 void ExpectIdenticalAnswers(const std::vector<Result<double>>& a,
                             const std::vector<Result<double>>& b) {
@@ -110,14 +98,11 @@ TEST(SnapshotIncrementalMergeTest, ReusedEqualsRebuiltFromScratch) {
         stream.data() + static_cast<size_t>(round) * chunk, chunk));
     driver.Flush();
     // Reuse path first (it may hit the memo from the previous round's
-    // queries), then force a from-scratch rebuild over the same snapshots
-    // — for each policy, since each keeps its own memo.
-    for (const QueryOptions& options : {kSnapshotTree, kSnapshotLinear}) {
-      const auto reused = LadderAnswers(driver, opts.y_max, options);
-      driver.InvalidateSnapshotCache();
-      const auto rebuilt = LadderAnswers(driver, opts.y_max, options);
-      ExpectIdenticalAnswers(reused, rebuilt);
-    }
+    // queries), then force a from-scratch rebuild over the same snapshots.
+    const auto reused = LadderAnswers(driver, opts.y_max);
+    driver.InvalidateSnapshotCache();
+    const auto rebuilt = LadderAnswers(driver, opts.y_max);
+    ExpectIdenticalAnswers(reused, rebuilt);
   }
 }
 
@@ -137,13 +122,13 @@ TEST(SnapshotIncrementalMergeTest, BackToBackBlockingQueryPerformsZeroMerges) {
   EXPECT_GT(merges_after_first, 0u);
 
   // No ingest since the last query: the epoch-keyed cache must answer and
-  // the merge counter must not move — for Query and for MergedSummary.
+  // the merge counter must not move — for Query and for Summarize.
   const auto second = driver.Query(opts.y_max / 2);
   ASSERT_TRUE(second.ok());
-  EXPECT_EQ(second.value(), first.value());
+  EXPECT_EQ(second.value().estimate, first.value().estimate);
   EXPECT_EQ(driver.shard_merges_performed(), merges_after_first);
 
-  auto merged = driver.MergedSummary();
+  auto merged = driver.Summarize();
   ASSERT_TRUE(merged.ok());
   EXPECT_EQ(driver.shard_merges_performed(), merges_after_first);
 
@@ -156,43 +141,7 @@ TEST(SnapshotIncrementalMergeTest, BackToBackBlockingQueryPerformsZeroMerges) {
   EXPECT_EQ(driver.shard_merges_performed(), merges_after_ingest);
 }
 
-// The linear policy's signature cost shape: rebuilds start at the first
-// changed shard, so last-shard churn is cheap and first-shard churn pays
-// for every shard. (The tree policy's shape is pinned by the next test
-// and, at S=64, by tests/merge_policy_test.cc.)
-TEST(SnapshotIncrementalMergeTest, LinearSuffixConfinedIngestRemergesOnlySuffix) {
-  const auto opts = F2Options();
-  AmsF2SketchFactory factory(AmsDimsFor(opts.eps, 1e-4, 4), /*seed=*/63);
-  ShardedDriverOptions dopts;
-  dopts.shards = 4;
-  dopts.batch_size = 64;
-  ShardedDriver<CorrelatedF2Sketch> driver(
-      dopts, [&] { return CorrelatedF2Sketch(opts, factory); });
-  driver.InsertBatch(MakeStream(8000, 500, opts.y_max, 8));
-  ASSERT_TRUE(driver.Query(opts.y_max, kBlockingLinear).ok());
-  const uint64_t merges_full = driver.shard_merges_performed();
-  EXPECT_EQ(merges_full, driver.shard_count());
-
-  // Ingest confined to the last shard: the rebuild must start there, so
-  // exactly one shard merge is added.
-  uint64_t x_last = 0;
-  while (driver.ShardOf(x_last) != driver.shard_count() - 1) ++x_last;
-  std::vector<Tuple> last_only(500, Tuple{x_last, opts.y_max / 2});
-  driver.InsertBatch(last_only);
-  ASSERT_TRUE(driver.Query(opts.y_max, kBlockingLinear).ok());
-  EXPECT_EQ(driver.shard_merges_performed(), merges_full + 1);
-
-  // Ingest confined to the first shard re-merges every published shard.
-  uint64_t x_first = 0;
-  while (driver.ShardOf(x_first) != 0) ++x_first;
-  std::vector<Tuple> first_only(500, Tuple{x_first, opts.y_max / 2});
-  driver.InsertBatch(first_only);
-  ASSERT_TRUE(driver.Query(opts.y_max, kBlockingLinear).ok());
-  EXPECT_EQ(driver.shard_merges_performed(),
-            merges_full + 1 + driver.shard_count());
-}
-
-// The tree policy's signature cost shape: churn on ANY single shard —
+// The tree's signature cost shape: churn on ANY single shard —
 // first or last — re-merges only that leaf's root path: log2(S) internal
 // nodes once every leaf is populated.
 TEST(SnapshotIncrementalMergeTest, TreeSingleShardChurnRemergesRootPathOnly) {
@@ -231,27 +180,14 @@ TEST(SnapshotIncrementalMergeTest, SingleShardReuseEqualsRebuild) {
   driver.InsertBatch(MakeStream(6000, 400, opts.y_max, 9));
   driver.Flush();
 
-  // Tree: a single-leaf tree aliases the snapshot — zero merges, ever.
-  const auto tree_reused = LadderAnswers(driver, opts.y_max, kSnapshotTree);
+  // A single-leaf tree aliases the snapshot — zero merges, ever, also
+  // when the memo is rebuilt after an invalidation.
+  const auto reused = LadderAnswers(driver, opts.y_max);
   EXPECT_EQ(driver.shard_merges_performed(), 0u);
-  ExpectIdenticalAnswers(tree_reused,
-                         LadderAnswers(driver, opts.y_max, kSnapshotTree));
-  EXPECT_EQ(driver.shard_merges_performed(), 0u);
-
-  // Linear: the chain is empty ∪ snapshot — exactly one merge, redone
-  // once after an invalidation.
-  const auto reused = LadderAnswers(driver, opts.y_max, kSnapshotLinear);
-  const uint64_t merges_before = driver.shard_merges_performed();
-  EXPECT_EQ(merges_before, 1u);
-  ExpectIdenticalAnswers(reused,
-                         LadderAnswers(driver, opts.y_max, kSnapshotLinear));
-  EXPECT_EQ(driver.shard_merges_performed(), merges_before);  // cache hit
+  ExpectIdenticalAnswers(reused, LadderAnswers(driver, opts.y_max));
   driver.InvalidateSnapshotCache();
-  ExpectIdenticalAnswers(reused,
-                         LadderAnswers(driver, opts.y_max, kSnapshotLinear));
-  EXPECT_EQ(driver.shard_merges_performed(), merges_before + 1);  // rebuilt
-  ExpectIdenticalAnswers(tree_reused,
-                         LadderAnswers(driver, opts.y_max, kSnapshotTree));
+  ExpectIdenticalAnswers(reused, LadderAnswers(driver, opts.y_max));
+  EXPECT_EQ(driver.shard_merges_performed(), 0u);
 }
 
 TEST(SnapshotIncrementalMergeTest, EmptyDriverAnswersAsFreshSummary) {

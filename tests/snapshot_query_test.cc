@@ -1,8 +1,8 @@
 // The non-blocking query path of ShardedDriver (label: concurrency).
 //
 // Contracts pinned here:
-//   * SnapshotQuery never blocks on the writer queues or the live shard
-//     summaries: with an ingest thread wedged mid-batch and a shard queue
+//   * Snapshot-mode Query never blocks on the writer queues or the live
+//     shard summaries: with an ingest thread wedged mid-batch and a shard queue
 //     held at capacity (a writer stuck in backpressure), snapshot queries
 //     still complete and answer from the last published snapshots.
 //   * Under concurrent multi-writer ingest every snapshot answer is a valid
@@ -10,8 +10,9 @@
 //     above by the post-WaitIdle oracle (a counting summary makes both
 //     bounds exact).
 //   * Shard snapshot epochs are monotone non-decreasing.
-//   * After Flush() + WaitIdle(), SnapshotQuery == Query bit-for-bit, for
-//     concrete summaries and for the type-erased AnySummary.
+//   * After Flush() + WaitIdle(), snapshot-mode Query == blocking Query
+//     bit-for-bit, for concrete summaries and for the type-erased
+//     AnySummary.
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
@@ -33,6 +34,8 @@ namespace castream {
 namespace {
 
 using test::TestRng;
+
+constexpr QueryOptions kSnapshot{.mode = QueryMode::kSnapshot};
 
 // Minimal ShardableSummary: counts tuples. Monotone, exact, and cheap, so
 // prefix-validity bounds are equalities on it.
@@ -106,9 +109,9 @@ TEST(SnapshotQueryTest, DoesNotBlockOnFullQueuesOrWedgedIngest) {
   for (uint64_t i = 0; i < 5; ++i) driver.Insert(i, i);
   driver.Flush();
   ASSERT_EQ(driver.tuples_processed(), 5u);
-  auto before = driver.SnapshotQuery(0);
+  auto before = driver.Query(0, kSnapshot);
   ASSERT_TRUE(before.ok());
-  EXPECT_EQ(before.value(), 5.0);
+  EXPECT_EQ(before.value().estimate, 5.0);
   const uint64_t epoch_before = driver.shard_epoch(0);
 
   // Wedge the ingest thread mid-batch and fill the queue behind it: the
@@ -130,21 +133,21 @@ TEST(SnapshotQueryTest, DoesNotBlockOnFullQueuesOrWedgedIngest) {
   // touching the queue or the wedged summary: if it blocked on either,
   // this call (and the test) would hang.
   for (int i = 0; i < 3; ++i) {
-    auto during = driver.SnapshotQuery(0);
+    auto during = driver.Query(0, kSnapshot);
     ASSERT_TRUE(during.ok());
-    EXPECT_EQ(during.value(), 5.0);
+    EXPECT_EQ(during.value().estimate, 5.0);
     EXPECT_EQ(driver.shard_epoch(0), epoch_before);
   }
 
   SetGate(gate, true);
   writer.join();
   driver.Flush();
-  auto after_snapshot = driver.SnapshotQuery(0);
+  auto after_snapshot = driver.Query(0, kSnapshot);
   auto after_blocking = driver.Query(0);
   ASSERT_TRUE(after_snapshot.ok());
   ASSERT_TRUE(after_blocking.ok());
-  EXPECT_EQ(after_snapshot.value(), 8.0);
-  EXPECT_EQ(after_blocking.value(), 8.0);
+  EXPECT_EQ(after_snapshot.value().estimate, 8.0);
+  EXPECT_EQ(after_blocking.value().estimate, 8.0);
   EXPECT_GT(driver.shard_epoch(0), epoch_before);
 }
 
@@ -179,7 +182,7 @@ TEST(SnapshotQueryTest, BoundedByFlushAndFinalOraclesUnderMultiWriterIngest) {
   // Phase 1: establish the last-flush oracle.
   for (auto& t : run_writers(kPerWriterPhase1, 100)) t.join();
   driver.Flush();
-  const double lower = driver.SnapshotQuery(0).value();
+  const double lower = driver.Query(0, kSnapshot).value().estimate;
   EXPECT_EQ(lower, static_cast<double>(kWriters * kPerWriterPhase1));
 
   // Phase 2: query concurrently with ingest. Every answer must be a valid
@@ -191,10 +194,10 @@ TEST(SnapshotQueryTest, BoundedByFlushAndFinalOraclesUnderMultiWriterIngest) {
   {
     auto writers = run_writers(kPerWriterPhase2, 200);
     for (int probe = 0; probe < 50; ++probe) {
-      auto q = driver.SnapshotQuery(0);
+      auto q = driver.Query(0, kSnapshot);
       ASSERT_TRUE(q.ok());
-      EXPECT_GE(q.value(), lower);
-      EXPECT_LE(q.value(), upper);
+      EXPECT_GE(q.value().estimate, lower);
+      EXPECT_LE(q.value().estimate, upper);
       std::vector<uint64_t> epochs = driver.ShardEpochs();
       for (uint32_t s = 0; s < kShards; ++s) {
         EXPECT_GE(epochs[s], last_epochs[s]) << "shard " << s;
@@ -207,12 +210,12 @@ TEST(SnapshotQueryTest, BoundedByFlushAndFinalOraclesUnderMultiWriterIngest) {
   // Post-WaitIdle oracle: both paths converge on the exact total.
   driver.Flush();
   driver.WaitIdle();
-  auto snapshot = driver.SnapshotQuery(0);
+  auto snapshot = driver.Query(0, kSnapshot);
   auto blocking = driver.Query(0);
   ASSERT_TRUE(snapshot.ok());
   ASSERT_TRUE(blocking.ok());
-  EXPECT_EQ(snapshot.value(), upper);
-  EXPECT_EQ(blocking.value(), upper);
+  EXPECT_EQ(snapshot.value().estimate, upper);
+  EXPECT_EQ(blocking.value().estimate, upper);
   EXPECT_EQ(driver.tuples_processed(),
             static_cast<uint64_t>(kWriters) *
                 (kPerWriterPhase1 + kPerWriterPhase2));
@@ -233,13 +236,13 @@ TEST(SnapshotQueryTest, IdleShardsArePublishedWithoutFlush) {
   writer.Flush();        // hand buffers to the queues (no snapshot publish)
   driver.WaitIdle();     // drain; workers now idle, nothing published yet
 
-  auto first = driver.SnapshotQuery(0);
+  auto first = driver.Query(0, kSnapshot);
   ASSERT_TRUE(first.ok());
-  EXPECT_EQ(first.value(), 999.0);
+  EXPECT_EQ(first.value().estimate, 999.0);
   // And a shard that stays idle keeps answering its full tail.
-  auto second = driver.SnapshotQuery(0);
+  auto second = driver.Query(0, kSnapshot);
   ASSERT_TRUE(second.ok());
-  EXPECT_EQ(second.value(), 999.0);
+  EXPECT_EQ(second.value().estimate, 999.0);
 }
 
 std::vector<Tuple> MakeStream(size_t n, uint64_t x_domain, uint64_t y_max,
@@ -280,23 +283,25 @@ TEST(SnapshotQueryTest, PostFlushSnapshotEqualsBlockingQueryBitForBit) {
   driver.Flush();
 
   for (uint64_t c : CutoffLadder(opts.y_max)) {
-    const auto snapshot = driver.SnapshotQuery(c);
+    const auto snapshot = driver.Query(c, kSnapshot);
     const auto blocking = driver.Query(c);
     ASSERT_EQ(snapshot.ok(), blocking.ok()) << "c=" << c;
     if (snapshot.ok()) {
-      ASSERT_EQ(snapshot.value(), blocking.value()) << "c=" << c;
+      ASSERT_EQ(snapshot.value().estimate, blocking.value().estimate)
+          << "c=" << c;
     }
   }
 
-  // MergedSummary (the value-returning blocking API) agrees too.
-  auto merged = driver.MergedSummary();
+  // The merged summary itself (blocking Summarize) agrees too.
+  auto merged = driver.Summarize();
   ASSERT_TRUE(merged.ok());
   for (uint64_t c : CutoffLadder(opts.y_max)) {
-    const auto from_value = merged.value().Query(c);
-    const auto from_snapshot = driver.SnapshotQuery(c);
+    const auto from_value = merged.value()->Query(c);
+    const auto from_snapshot = driver.Query(c, kSnapshot);
     ASSERT_EQ(from_value.ok(), from_snapshot.ok()) << "c=" << c;
     if (from_value.ok()) {
-      ASSERT_EQ(from_value.value(), from_snapshot.value()) << "c=" << c;
+      ASSERT_EQ(from_value.value(), from_snapshot.value().estimate)
+          << "c=" << c;
     }
   }
 }
@@ -326,20 +331,21 @@ TEST(SnapshotQueryTest, AnySummaryDriverServesSnapshots) {
     w.Flush();
   });
   for (int probe = 0; probe < 10; ++probe) {
-    auto q = driver.SnapshotQuery(opts.y_max);
+    auto q = driver.Query(opts.y_max, kSnapshot);
     ASSERT_TRUE(q.ok());
-    EXPECT_GE(q.value(), 0.0);
+    EXPECT_GE(q.value().estimate, 0.0);
   }
   writer.join();
 
   // ... and equal the blocking path bit-for-bit once flushed.
   driver.Flush();
   for (uint64_t c : CutoffLadder(opts.y_max)) {
-    const auto snapshot = driver.SnapshotQuery(c);
+    const auto snapshot = driver.Query(c, kSnapshot);
     const auto blocking = driver.Query(c);
     ASSERT_EQ(snapshot.ok(), blocking.ok()) << "c=" << c;
     if (snapshot.ok()) {
-      ASSERT_EQ(snapshot.value(), blocking.value()) << "c=" << c;
+      ASSERT_EQ(snapshot.value().estimate, blocking.value().estimate)
+          << "c=" << c;
     }
   }
   uint64_t epochs_total = 0;

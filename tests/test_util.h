@@ -13,12 +13,16 @@
 //     (1 - delta) * trials of a randomized estimator land within tolerance,
 //     which is exactly the guarantee the paper's theorems give.
 //   - SweepCounter: miss accounting for cutoff-ladder accuracy sweeps.
+//   - TreeOrderFold: the merge-tree fold order of src/driver/merge_cache.h,
+//     written independently of MergeCache — the bit-for-bit oracle for
+//     merged answers.
 #ifndef CASTREAM_TESTS_TEST_UTIL_H_
 #define CASTREAM_TESTS_TEST_UTIL_H_
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <memory>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -26,6 +30,7 @@
 #include <gtest/gtest.h>
 
 #include "src/common/random.h"
+#include "src/driver/merge_cache.h"  // SummaryDeepCopy only
 #include "src/sketch/exact.h"
 
 namespace castream {
@@ -201,6 +206,36 @@ class SweepCounter {
   int checked_ = 0;
   int misses_ = 0;
 };
+
+namespace internal {
+
+template <typename S>
+std::shared_ptr<const S> FoldRange(
+    const std::vector<std::shared_ptr<const S>>& leaves, size_t lo,
+    size_t width) {
+  if (width == 1) return lo < leaves.size() ? leaves[lo] : nullptr;
+  auto left = FoldRange(leaves, lo, width / 2);
+  auto right = FoldRange(leaves, lo + width / 2, width / 2);
+  if (left == nullptr) return right;
+  if (right == nullptr) return left;
+  S merged = SummaryDeepCopy(*left);
+  EXPECT_TRUE(merged.MergeFrom(*right).ok());
+  return std::make_shared<const S>(std::move(merged));
+}
+
+}  // namespace internal
+
+// Tree-order fold of `leaves`: pad the row to a power of two, halve it
+// recursively, and at every node merge a copy of the left fold with the
+// right one; a null child (a slot that never published) aliases the other
+// child. Null when every leaf is null.
+template <typename S>
+std::shared_ptr<const S> TreeOrderFold(
+    const std::vector<std::shared_ptr<const S>>& leaves) {
+  size_t width = 1;
+  while (width < leaves.size()) width <<= 1;
+  return internal::FoldRange(leaves, 0, width);
+}
 
 }  // namespace test
 }  // namespace castream
