@@ -7,13 +7,22 @@
 // the tree re-merges only the log2(S) root path. items_per_second =
 // queries/s; the merges_per_query counter reports MergeFrom calls per query
 // (log2(S)), which is the scaling claim in a form immune to machine noise.
+//
+// The copy and merge costs behind every re-merge are measured on their own
+// on shard-sized state (uniform f2 shards that serialize to ~3.5 MB, the
+// served benchmark's publish size):
+// BM_CloneShardSummary is one publish copy (items/s = clones/s) and
+// BM_MergeTwoShardSnapshots one cold merge-tree node, a copy of the left
+// snapshot merged with the right one (items/s = merges/s).
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "bench/workload.h"
+#include "src/core/any_summary.h"
 #include "src/core/correlated_fk.h"
 #include "src/driver/merge_cache.h"
 
@@ -75,6 +84,49 @@ void BM_TreeChurnRemerge(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_TreeChurnRemerge)->Arg(8)->Arg(64)->Arg(256);
+
+/// \brief A shard's f2 summary after 2^18 uniform arrivals, configured
+/// like the served benchmark's (eps 0.25, y over [0, 2^20)).
+AnySummary MakeShardSummary(uint64_t stream_seed) {
+  constexpr size_t kShardTuples = 1 << 18;
+  SummaryOptions o;
+  o.eps = 0.25;
+  o.delta = 0.05;
+  o.y_max = (uint64_t{1} << 20) - 1;
+  o.f_max_hint = 1e12;
+  AnySummary s = MakeSummary("f2", o, /*seed=*/41).value();
+  const auto stream = bench::MakeUniformStream(kShardTuples, uint64_t{1} << 24,
+                                               o.y_max + 1, stream_seed);
+  s.InsertBatch(std::span<const Tuple>(stream));
+  return s;
+}
+
+void BM_CloneShardSummary(benchmark::State& state) {
+  const AnySummary shard = MakeShardSummary(7);
+  for (auto _ : state) {
+    AnySummary copy = shard.Clone();
+    benchmark::DoNotOptimize(copy);
+  }
+  state.counters["state_bytes"] = static_cast<double>(shard.SizeBytes());
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_CloneShardSummary);
+
+void BM_MergeTwoShardSnapshots(benchmark::State& state) {
+  const AnySummary left = MakeShardSummary(7);
+  const AnySummary right = MakeShardSummary(8);
+  for (auto _ : state) {
+    AnySummary merged = SummaryDeepCopy(left);
+    if (!merged.MergeFrom(right).ok()) {
+      state.SkipWithError("MergeFrom failed");
+      break;
+    }
+    benchmark::DoNotOptimize(merged);
+  }
+  state.counters["state_bytes"] = static_cast<double>(left.SizeBytes());
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_MergeTwoShardSnapshots);
 
 }  // namespace
 

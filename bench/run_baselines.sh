@@ -12,7 +12,8 @@
 # bench_snapshot_query (query serving rates, blocking vs snapshot) plus
 # bench_zipf_ingest (trace-shaped columnar/coalesced ingest) plus
 # bench_merge_scaling (merge-tree re-merge cost under single-shard churn,
-# log2(S) merges per query) plus bench_chh_shootout (the three correlated
+# log2(S) merges per query, plus the clone and cold two-snapshot merge cost
+# of ~3.5 MB shards) plus bench_chh_shootout (the three correlated
 # heavy-hitters kinds on shared workloads: throughput, serialized bytes,
 # precision/recall; the extras are skipped with a note if the binary is
 # missing) and merges the results into OUT_JSON via bench/merge_baseline.py,

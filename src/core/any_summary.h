@@ -3,10 +3,10 @@
 // instead of per-type.
 //
 // Every concrete summary models the same protocol — Insert / InsertBatch /
-// MergeFrom / Query / Serialize / static Deserialize (the SummaryProtocol
-// concept below) — and AnySummary erases it behind a small virtual
-// interface. The SummaryRegistry maps SummaryKind tags (also the wire-format
-// tags, src/io/format.h) to builders and deserializers, so
+// MergeFrom / CompatibleWith / Query / Serialize / static Deserialize (the
+// SummaryProtocol concept below) — and AnySummary erases it behind a small
+// virtual interface. The SummaryRegistry maps SummaryKind tags (also the
+// wire-format tags, src/io/format.h) to builders and deserializers, so
 // MakeSummary("f2", opts, seed) and AnySummary::Deserialize(blob) work
 // uniformly; a blob's own kind tag selects the decoder.
 //
@@ -51,6 +51,7 @@ concept SummaryProtocol = requires(T s, const T& cs, std::string* out,
   s.InsertBatch(batch);
   s.InsertBatch(wbatch);
   { s.MergeFrom(cs) } -> std::same_as<Status>;
+  { cs.CompatibleWith(cs) } -> std::same_as<Status>;
   { cs.Serialize(out) } -> std::same_as<Status>;
   { T::Deserialize(bytes) } -> std::same_as<Result<T>>;
   { cs.SizeBytes() } -> std::convertible_to<size_t>;
@@ -121,11 +122,12 @@ class AnySummary {
   AnySummary(AnySummary&&) = default;
   AnySummary& operator=(AnySummary&&) = default;
 
-  /// \brief Deep copy of the held summary (empty stays empty). AnySummary is
-  /// move-only on purpose — summaries can be large, so copies must be
-  /// spelled out — and Clone is that spelling: it is what lets generic
-  /// holders (ShardedDriver's copy-on-publish snapshots) treat AnySummary
-  /// like the copyable concrete types.
+  /// \brief Copy of the held summary (empty stays empty) that behaves as a
+  /// deep copy; bucket counters are shared copy-on-write, so a clone costs
+  /// the bucket structure, not the counters. AnySummary is move-only on
+  /// purpose — copies must be spelled out — and Clone is that spelling: it
+  /// is what lets generic holders (ShardedDriver's copy-on-publish
+  /// snapshots) treat AnySummary like the copyable concrete types.
   AnySummary Clone() const {
     AnySummary out;
     if (impl_) out.impl_ = impl_->Clone();
@@ -170,17 +172,17 @@ class AnySummary {
   /// the same configuration and hash family — checked by the concrete
   /// MergeFrom) into this one.
   [[nodiscard]] Status MergeFrom(const AnySummary& other) {
-    if (!impl_ || !other.impl_) {
-      return Status::InvalidArgument(
-          "AnySummary::MergeFrom: empty summary handle");
-    }
-    if (impl_->kind_ != other.impl_->kind_) {
-      return Status::PreconditionFailed(
-          "AnySummary::MergeFrom: cannot merge a '" +
-          std::string(SummaryKindName(other.impl_->kind_)) + "' into a '" +
-          std::string(SummaryKindName(impl_->kind_)) + "'");
-    }
+    CASTREAM_RETURN_NOT_OK(CheckSameKind(other));
     return impl_->MergeFrom(*other.impl_);
+  }
+
+  /// \brief OK exactly when MergeFrom(other) would pass its kind,
+  /// configuration and hash-family checks — the same checks, without
+  /// building or changing any summary. A reducer runs it at the door to
+  /// turn away blobs that could never join its merge tree.
+  [[nodiscard]] Status CompatibleWith(const AnySummary& other) const {
+    CASTREAM_RETURN_NOT_OK(CheckSameKind(other));
+    return impl_->CompatibleWith(*other.impl_);
   }
 
   /// \brief The kind's scalar point query at cutoff c: the F2 / distinct /
@@ -235,6 +237,7 @@ class AnySummary {
     virtual void InsertBatch(std::span<const Tuple> batch) = 0;
     virtual void InsertBatch(std::span<const WeightedTuple> batch) = 0;
     virtual Status MergeFrom(const Interface& other) = 0;
+    virtual Status CompatibleWith(const Interface& other) const = 0;
     virtual Result<double> Query(uint64_t c) const = 0;
     virtual Result<std::vector<HeavyHitter>> QueryHeavyHitters(
         uint64_t c, double phi) const = 0;
@@ -272,6 +275,10 @@ class AnySummary {
       // kinds map 1:1 to model types, so the downcast is exact.
       return value_.MergeFrom(static_cast<const Model<T>&>(other).value_);
     }
+    Status CompatibleWith(const Interface& other) const override {
+      return value_.CompatibleWith(
+          static_cast<const Model<T>&>(other).value_);
+    }
     Result<double> Query(uint64_t c) const override {
       if constexpr (std::same_as<T, CorrelatedF2HeavyHitters>) {
         return value_.QueryF2(c);
@@ -307,6 +314,19 @@ class AnySummary {
 
     T value_;
   };
+
+  Status CheckSameKind(const AnySummary& other) const {
+    if (!impl_ || !other.impl_) {
+      return Status::InvalidArgument("AnySummary: empty summary handle");
+    }
+    if (impl_->kind_ != other.impl_->kind_) {
+      return Status::PreconditionFailed(
+          "AnySummary: cannot merge a '" +
+          std::string(SummaryKindName(other.impl_->kind_)) + "' into a '" +
+          std::string(SummaryKindName(impl_->kind_)) + "'");
+    }
+    return Status::OK();
+  }
 
   std::unique_ptr<Interface> impl_;
 };

@@ -194,6 +194,17 @@ void CorrelatedNestedMisraGries::ShrinkPrimary() {
   }
 }
 
+Status CorrelatedNestedMisraGries::CompatibleWith(
+    const CorrelatedNestedMisraGries& other) const {
+  if (options_.XCapacity() != other.options_.XCapacity() ||
+      options_.YCapacity() != other.options_.YCapacity()) {
+    return Status::PreconditionFailed(
+        "CorrelatedNestedMisraGries::MergeFrom: table configurations differ "
+        "(the summaries were built with different capacities)");
+  }
+  return Status::OK();
+}
+
 Status CorrelatedNestedMisraGries::MergeFrom(
     const CorrelatedNestedMisraGries& other) {
   if (&other == this) {
@@ -201,12 +212,7 @@ Status CorrelatedNestedMisraGries::MergeFrom(
         "CorrelatedNestedMisraGries::MergeFrom: cannot merge a summary into "
         "itself");
   }
-  if (options_.XCapacity() != other.options_.XCapacity() ||
-      options_.YCapacity() != other.options_.YCapacity()) {
-    return Status::PreconditionFailed(
-        "CorrelatedNestedMisraGries::MergeFrom: table configurations differ "
-        "(the summaries were built with different capacities)");
-  }
+  CASTREAM_RETURN_NOT_OK(CompatibleWith(other));
   total_weight_ += other.total_weight_;
   primary_decrements_ += other.primary_decrements_;
   for (const auto& [x, oe] : other.table_) {
@@ -544,17 +550,23 @@ void CorrelatedFastChh::ShrinkPrimary() {
   }
 }
 
-Status CorrelatedFastChh::MergeFrom(const CorrelatedFastChh& other) {
-  if (&other == this) {
-    return Status::InvalidArgument(
-        "CorrelatedFastChh::MergeFrom: cannot merge a summary into itself");
-  }
+Status CorrelatedFastChh::CompatibleWith(
+    const CorrelatedFastChh& other) const {
   if (options_.XCapacity() != other.options_.XCapacity() ||
       options_.YCapacity() != other.options_.YCapacity()) {
     return Status::PreconditionFailed(
         "CorrelatedFastChh::MergeFrom: table configurations differ (the "
         "summaries were built with different capacities)");
   }
+  return Status::OK();
+}
+
+Status CorrelatedFastChh::MergeFrom(const CorrelatedFastChh& other) {
+  if (&other == this) {
+    return Status::InvalidArgument(
+        "CorrelatedFastChh::MergeFrom: cannot merge a summary into itself");
+  }
+  CASTREAM_RETURN_NOT_OK(CompatibleWith(other));
   total_weight_ += other.total_weight_;
   primary_decrements_ += other.primary_decrements_;
   for (const auto& [x, oe] : other.table_) {
@@ -599,11 +611,12 @@ Result<std::vector<HeavyHitter>> CorrelatedFastChh::QueryHeavyHitters(
         above_error += slot.error;
       }
     }
-    if (below_count == 0) continue;
     // Certain upper bound on f_x(c): the below-cutoff counts already
     // over-cover their keys; mass of below-cutoff keys hiding inside
     // above-cutoff slots is bounded by those slots' inherited error; and
-    // up to primary_decrements_ of x's mass never reached this stage.
+    // up to primary_decrements_ of x's mass never reached this stage. An
+    // entry with no slot at or below c can still be heavy on that error
+    // alone, so it is judged like any other.
     const double upper = static_cast<double>(below_count) +
                          static_cast<double>(above_error) +
                          static_cast<double>(primary_decrements_);

@@ -102,6 +102,8 @@ class CorrelatedNestedMisraGries {
   /// (PreconditionFailed otherwise) via the mergeable-summaries reduction;
   /// bit-for-bit the single-stream state when no table ever overflowed.
   Status MergeFrom(const CorrelatedNestedMisraGries& other);
+  /// \brief The table-configuration check MergeFrom runs.
+  Status CompatibleWith(const CorrelatedNestedMisraGries& other) const;
 
   /// \brief Scalar point query: the total folded counter mass at or below
   /// cutoff c — a deterministic, guaranteed-not-overcounting estimate of
@@ -167,6 +169,8 @@ class CorrelatedFastChh {
   /// slots add counts and errors, one-sided slots inherit the other side's
   /// minimum as extra error, then the top YCapacity() slots survive).
   Status MergeFrom(const CorrelatedFastChh& other);
+  /// \brief The table-configuration check MergeFrom runs.
+  Status CompatibleWith(const CorrelatedFastChh& other) const;
 
   /// \brief Scalar point query: Sum over entries of the guaranteed per-slot
   /// lower bounds (count - inherited error) at or below c.

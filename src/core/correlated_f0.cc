@@ -128,11 +128,8 @@ void CorrelatedF0Sketch::InsertInto(Instance& inst, uint64_t x, uint64_t y,
   }
 }
 
-Status CorrelatedF0Sketch::MergeFrom(const CorrelatedF0Sketch& other) {
-  if (this == &other) {
-    return Status::InvalidArgument(
-        "CorrelatedF0Sketch::MergeFrom: cannot merge a summary into itself");
-  }
+Status CorrelatedF0Sketch::CompatibleWith(
+    const CorrelatedF0Sketch& other) const {
   if (track_second_ != other.track_second_ || alpha_ != other.alpha_ ||
       instances_.size() != other.instances_.size() ||
       options_.Levels() != other.options_.Levels()) {
@@ -149,6 +146,15 @@ Status CorrelatedF0Sketch::MergeFrom(const CorrelatedF0Sketch& other) {
           "seeds (build both from the same seed)");
     }
   }
+  return Status::OK();
+}
+
+Status CorrelatedF0Sketch::MergeFrom(const CorrelatedF0Sketch& other) {
+  if (this == &other) {
+    return Status::InvalidArgument(
+        "CorrelatedF0Sketch::MergeFrom: cannot merge a summary into itself");
+  }
+  CASTREAM_RETURN_NOT_OK(CompatibleWith(other));
   for (size_t i = 0; i < instances_.size(); ++i) {
     Instance& dst = instances_[i];
     const Instance& src = other.instances_[i];

@@ -108,6 +108,10 @@ class CorrelatedF0Sketch {
   /// state is bit-for-bit the single-stream state.
   Status MergeFrom(const CorrelatedF0Sketch& other);
 
+  /// \brief The options and hash-seed checks MergeFrom runs before it
+  /// touches anything: OK exactly when `other` could be merged in.
+  Status CompatibleWith(const CorrelatedF0Sketch& other) const;
+
   /// \brief (eps, delta) estimate of the number of distinct x among tuples
   /// with y <= c. Fails only if every level has discarded below c, which
   /// cannot happen at level 0 unless the budget is smaller than the answer
@@ -207,6 +211,9 @@ class CorrelatedRaritySketch {
   /// minimum and second-minimum occurrence values merge exactly.
   Status MergeFrom(const CorrelatedRaritySketch& other) {
     return inner_.MergeFrom(other.inner_);
+  }
+  Status CompatibleWith(const CorrelatedRaritySketch& other) const {
+    return inner_.CompatibleWith(other.inner_);
   }
   Result<double> Query(uint64_t c) const { return inner_.QueryRarity(c); }
   /// \brief The underlying distinct count (the rarity denominator).

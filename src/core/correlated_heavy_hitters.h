@@ -303,6 +303,10 @@ class CorrelatedF2HeavyHitters {
   Status MergeFrom(const CorrelatedF2HeavyHitters& other) {
     return sketch_.MergeFrom(other.sketch_);
   }
+  /// \brief The configuration and hash-family checks MergeFrom runs.
+  Status CompatibleWith(const CorrelatedF2HeavyHitters& other) const {
+    return sketch_.CompatibleWith(other.sketch_);
+  }
 
   /// \brief Structural self-check of the underlying framework (tests).
   Status ValidateInvariants() const { return sketch_.ValidateInvariants(); }

@@ -247,7 +247,7 @@ class CorrelatedSketch {
     if (batch.empty()) return;
     tuples_inserted_ += batch.size();
     StageColumns(batch);
-    RunStagedBatch([this](size_t i) { return w_scratch_[i]; });
+    RunStagedBatch([this](size_t i) { return staging_.w[i]; });
   }
   // (No initializer_list<WeightedTuple> overload: brace lists like {{x, y}}
   // would become ambiguous against the Tuple overloads.)
@@ -306,6 +306,25 @@ class CorrelatedSketch {
         "increase f_max_hint or the bucket budget");
   }
 
+  /// \brief The configuration and hash-family checks MergeFrom runs before
+  /// it touches anything: OK exactly when `other` could be merged in.
+  /// Mismatches return PreconditionFailed.
+  Status CompatibleWith(const CorrelatedSketch& other) const {
+    if (y_max_ != other.y_max_ || alpha_ != other.alpha_ ||
+        max_level_ != other.max_level_) {
+      return Status::PreconditionFailed(
+          "CorrelatedSketch::MergeFrom: incompatible configuration "
+          "(y_max / alpha / level count differ)");
+    }
+    // Family probe: bucket-sketch MergeFrom performs the hash-family check
+    // unconditionally, so probing with an empty sketch fails loudly on
+    // mismatched factories even when both summaries are still empty. An
+    // empty sketch shares a dense tail's counters instead of copying them,
+    // so the probe allocates no counter storage.
+    Sketch probe = factory_.Create();
+    return probe.MergeFrom(other.tail_);
+  }
+
   /// \brief Merges another summary of the same configuration and hash family
   /// into this one, so that subsequent queries answer over the union of both
   /// ingested streams (the mergeability that makes sharded / distributed
@@ -336,19 +355,7 @@ class CorrelatedSketch {
       return Status::InvalidArgument(
           "CorrelatedSketch::MergeFrom: cannot merge a summary into itself");
     }
-    if (y_max_ != other.y_max_ || alpha_ != other.alpha_ ||
-        max_level_ != other.max_level_) {
-      return Status::PreconditionFailed(
-          "CorrelatedSketch::MergeFrom: incompatible configuration "
-          "(y_max / alpha / level count differ)");
-    }
-    // Family probe: bucket-sketch MergeFrom performs the hash-family check
-    // unconditionally, so probing with an empty scratch fails loudly on
-    // mismatched factories even when both summaries are still empty.
-    {
-      Sketch probe = factory_.Create();
-      CASTREAM_RETURN_NOT_OK(probe.MergeFrom(other.tail_));
-    }
+    CASTREAM_RETURN_NOT_OK(CompatibleWith(other));
     CASTREAM_RETURN_NOT_OK(MergeLevel0(other));
     // Align the virtual suffixes: any level split (materialized) in `other`
     // but still virtual here gets its own root now — a lossless merge of the
@@ -787,22 +794,22 @@ class CorrelatedSketch {
   template <typename T>
   void StageColumns(std::span<const T> batch) {
     const size_t n = batch.size();
-    x_scratch_.resize(n);
-    y_scratch_.resize(n);
-    y_batch_min_ = UINT64_MAX;
-    y_batch_max_ = 0;
+    staging_.x.resize(n);
+    staging_.y.resize(n);
+    staging_.y_min = UINT64_MAX;
+    staging_.y_max = 0;
     for (size_t i = 0; i < n; ++i) {
-      x_scratch_[i] = batch[i].x;
+      staging_.x[i] = batch[i].x;
       const uint64_t y = std::min(batch[i].y, y_max_);
-      y_scratch_[i] = y;
+      staging_.y[i] = y;
       // The batch's y range, for free in this pass: levels whose threshold
       // falls outside it are routed without sorting (see RunBatchTreeLevel).
-      y_batch_min_ = std::min(y_batch_min_, y);
-      y_batch_max_ = std::max(y_batch_max_, y);
+      staging_.y_min = std::min(staging_.y_min, y);
+      staging_.y_max = std::max(staging_.y_max, y);
     }
     if constexpr (requires(const T& t) { t.weight; }) {
-      w_scratch_.resize(n);
-      for (size_t i = 0; i < n; ++i) w_scratch_[i] = batch[i].weight;
+      staging_.w.resize(n);
+      for (size_t i = 0; i < n; ++i) staging_.w[i] = batch[i].weight;
     }
   }
 
@@ -811,26 +818,26 @@ class CorrelatedSketch {
   /// batches; the w column otherwise).
   template <typename WeightAt>
   void RunStagedBatch(WeightAt weight_at) {
-    order_ready_ = false;
+    staging_.order_ready = false;
     if constexpr (kPreHashedIngest) {
-      const size_t n = x_scratch_.size();
-      prehash_scratch_.resize(n);
+      const size_t n = staging_.x.size();
+      staging_.prehash.resize(n);
       if constexpr (kBatchPreHash) {
         // One contiguous row-outer pass over the whole column: the hash
         // coefficients stay register-resident and the compiler sees a tight
         // vectorizable loop (RowHashSet::PreHashBatch).
-        factory_.PrehashBatch(std::span<const uint64_t>(x_scratch_),
-                              prehash_scratch_.data());
+        factory_.PrehashBatch(std::span<const uint64_t>(staging_.x),
+                              staging_.prehash.data());
       } else {
         for (size_t i = 0; i < n; ++i) {
-          prehash_scratch_[i] = factory_.Prehash(x_scratch_[i]);
+          staging_.prehash[i] = factory_.Prehash(staging_.x[i]);
         }
       }
       RouteStagedRows(
-          [this](size_t i) -> decltype(auto) { return (prehash_scratch_[i]); },
+          [this](size_t i) -> decltype(auto) { return (staging_.prehash[i]); },
           weight_at);
     } else {
-      RouteStagedRows([this](size_t i) { return x_scratch_[i]; }, weight_at);
+      RouteStagedRows([this](size_t i) { return staging_.x[i]; }, weight_at);
     }
   }
 
@@ -844,7 +851,7 @@ class CorrelatedSketch {
   /// root).
   template <typename ItemAt, typename WeightAt>
   void RouteStagedRows(ItemAt item_at, WeightAt weight_at) {
-    const size_t n = y_scratch_.size();
+    const size_t n = staging_.y.size();
     RunBatchLevel0(item_at, weight_at);
     const uint32_t real_end = first_virtual_;
     for (uint32_t l = 1; l < real_end; ++l) {
@@ -861,7 +868,7 @@ class CorrelatedSketch {
           // Every row lands in the shared tail; warm the counter cells the
           // row kPrefetchLookahead ahead will hit.
           if (i + kPrefetchLookahead < n) {
-            tail_.PrefetchInsert(prehash_scratch_[i + kPrefetchLookahead]);
+            tail_.PrefetchInsert(staging_.prehash[i + kPrefetchLookahead]);
           }
         }
         const uint32_t before = first_virtual_;
@@ -878,23 +885,25 @@ class CorrelatedSketch {
 
   template <typename ItemAt, typename WeightAt>
   void RunBatchLevel0(ItemAt item_at, WeightAt weight_at) {
-    const size_t n = y_scratch_.size();
+    const size_t n = staging_.y.size();
     if (n == 0) return;
-    if (level0_threshold_ != UINT64_MAX && level0_threshold_ <= y_batch_min_) {
+    if (level0_threshold_ != UINT64_MAX &&
+        level0_threshold_ <= staging_.y_min) {
       return;  // no staged row is below the threshold; nothing to do
     }
     std::span<const uint32_t> rows;
-    if (level0_threshold_ != UINT64_MAX && level0_threshold_ <= y_batch_max_ &&
-        n <= kMaxIndexedRows && TryEligibleRows(level0_threshold_, &rows)) {
+    if (level0_threshold_ != UINT64_MAX &&
+        level0_threshold_ <= staging_.y_max && n <= kMaxIndexedRows &&
+        TryEligibleRows(level0_threshold_, &rows)) {
       for (uint32_t i : rows) {
-        InsertLevel0(item_at(i), y_scratch_[i], weight_at(i));
+        InsertLevel0(item_at(i), staging_.y[i], weight_at(i));
       }
       return;
     }
     for (size_t i = 0; i < n; ++i) {
       // InsertLevel0 re-checks the threshold itself, so discards that
       // happen mid-batch are honored exactly as in sequential ingest.
-      InsertLevel0(item_at(i), y_scratch_[i], weight_at(i));
+      InsertLevel0(item_at(i), staging_.y[i], weight_at(i));
     }
   }
 
@@ -908,7 +917,7 @@ class CorrelatedSketch {
   template <typename ItemAt, typename WeightAt>
   void RunBatchTreeLevel(Level& level, ItemAt item_at, WeightAt weight_at,
                          size_t from) {
-    const size_t n = y_scratch_.size();
+    const size_t n = staging_.y.size();
     if (n == 0) return;
     // Route by where the threshold sits relative to the batch's y range:
     //   * at or below the batch minimum — no row can be absorbed (eligibility
@@ -919,16 +928,17 @@ class CorrelatedSketch {
     //     prefix is small (TryEligibleRows enforces that), which is the
     //     late-stream regime where deep levels absorb only a sliver of each
     //     batch.
-    if (level.y_threshold != UINT64_MAX && level.y_threshold <= y_batch_min_) {
+    if (level.y_threshold != UINT64_MAX &&
+        level.y_threshold <= staging_.y_min) {
       return;
     }
     if (from == 0 && level.y_threshold != UINT64_MAX &&
-        level.y_threshold <= y_batch_max_ && n <= kMaxIndexedRows) {
+        level.y_threshold <= staging_.y_max && n <= kMaxIndexedRows) {
       std::span<const uint32_t> rows;
       if (TryEligibleRows(level.y_threshold, &rows)) {
         for (size_t k = 0; k < rows.size(); ++k) {
           const uint32_t i = rows[k];
-          const uint64_t y = y_scratch_[i];
+          const uint64_t y = staging_.y[i];
           if (y >= level.y_threshold) continue;  // live re-check (see above)
           if constexpr (kPrefetchIngest) {
             if (k + kPrefetchLookahead < rows.size()) {
@@ -941,11 +951,11 @@ class CorrelatedSketch {
       }
     }
     for (size_t i = from; i < n; ++i) {
-      const uint64_t y = y_scratch_[i];
+      const uint64_t y = staging_.y[i];
       if (y >= level.y_threshold) continue;
       if constexpr (kPrefetchIngest) {
         const size_t j = i + kPrefetchLookahead;
-        if (j < n && y_scratch_[j] < level.y_threshold) {
+        if (j < n && staging_.y[j] < level.y_threshold) {
           PrefetchTreeRow(level, j);
         }
       }
@@ -961,28 +971,28 @@ class CorrelatedSketch {
   /// and re-sorting a near-whole batch costs more than the scan it replaces,
   /// so the sorted run is reserved for levels that absorb only a sliver.
   bool TryEligibleRows(uint64_t threshold, std::span<const uint32_t>* rows) {
-    const size_t n = y_scratch_.size();
-    if (!order_ready_) {
-      order_ready_ = true;
-      order_scratch_.resize(n);
+    const size_t n = staging_.y.size();
+    if (!staging_.order_ready) {
+      staging_.order_ready = true;
+      staging_.order.resize(n);
       for (size_t i = 0; i < n; ++i) {
-        order_scratch_[i] = static_cast<uint32_t>(i);
+        staging_.order[i] = static_cast<uint32_t>(i);
       }
-      std::sort(order_scratch_.begin(), order_scratch_.end(),
+      std::sort(staging_.order.begin(), staging_.order.end(),
                 [this](uint32_t a, uint32_t b) {
-                  return y_scratch_[a] != y_scratch_[b]
-                             ? y_scratch_[a] < y_scratch_[b]
+                  return staging_.y[a] != staging_.y[b]
+                             ? staging_.y[a] < staging_.y[b]
                              : a < b;
                 });
     }
     auto it = std::lower_bound(
-        order_scratch_.begin(), order_scratch_.end(), threshold,
-        [this](uint32_t idx, uint64_t t) { return y_scratch_[idx] < t; });
-    const size_t k = static_cast<size_t>(it - order_scratch_.begin());
+        staging_.order.begin(), staging_.order.end(), threshold,
+        [this](uint32_t idx, uint64_t t) { return staging_.y[idx] < t; });
+    const size_t k = static_cast<size_t>(it - staging_.order.begin());
     if (k * kSortedRunDivisor > n) return false;
-    cand_scratch_.assign(order_scratch_.begin(), it);
-    std::sort(cand_scratch_.begin(), cand_scratch_.end());
-    *rows = std::span<const uint32_t>(cand_scratch_);
+    staging_.cand.assign(staging_.order.begin(), it);
+    std::sort(staging_.cand.begin(), staging_.cand.end());
+    *rows = std::span<const uint32_t>(staging_.cand);
     return true;
   }
 
@@ -991,8 +1001,8 @@ class CorrelatedSketch {
   /// pre-hashed cells of that leaf's sketch. Advisory only.
   void PrefetchTreeRow(const Level& level, size_t i) const {
     if constexpr (kPrefetchIngest) {
-      const int32_t idx = FindLeaf(level, y_scratch_[i]);
-      if (idx >= 0) level.nodes[idx].sketch.PrefetchInsert(prehash_scratch_[i]);
+      const int32_t idx = FindLeaf(level, staging_.y[i]);
+      if (idx >= 0) level.nodes[idx].sketch.PrefetchInsert(staging_.prehash[i]);
     } else {
       (void)level;
       (void)i;
@@ -1467,20 +1477,32 @@ class CorrelatedSketch {
   Sketch tail_;
   uint32_t tail_checks_ = 0;
   uint32_t first_virtual_ = 1;
-  typename internal::PrehashBuffer<Factory, Sketch>::type prehash_scratch_;
 
-  // Columnar batch staging (reused across batches; capacity sticks):
-  // x / y / w columns, the batch's (y, idx)-sorted row order (built lazily
-  // on the first level that has a finite threshold), and the per-level
-  // candidate rows restored to stream order.
-  std::vector<uint64_t> x_scratch_;
-  std::vector<uint64_t> y_scratch_;
-  std::vector<int64_t> w_scratch_;
-  std::vector<uint32_t> order_scratch_;
-  std::vector<uint32_t> cand_scratch_;
-  bool order_ready_ = false;
-  uint64_t y_batch_min_ = UINT64_MAX;  // staged batch's y range (StageColumns)
-  uint64_t y_batch_max_ = 0;
+  /// \brief Columnar batch staging (reused across batches; capacity
+  /// sticks): x / y / w columns and their pre-hashes, the batch's
+  /// (y, idx)-sorted row order (built lazily on the first level that has a
+  /// finite threshold), and the per-level candidate rows restored to stream
+  /// order. It carries no state from one batch to the next, so a copy of
+  /// the summary starts with empty staging instead of duplicating buffers
+  /// sized by the last batch.
+  struct Staging {
+    Staging() = default;
+    Staging(const Staging&) {}
+    Staging& operator=(const Staging&) { return *this; }
+    Staging(Staging&&) = default;
+    Staging& operator=(Staging&&) = default;
+
+    typename internal::PrehashBuffer<Factory, Sketch>::type prehash;
+    std::vector<uint64_t> x;
+    std::vector<uint64_t> y;
+    std::vector<int64_t> w;
+    std::vector<uint32_t> order;
+    std::vector<uint32_t> cand;
+    bool order_ready = false;
+    uint64_t y_min = UINT64_MAX;  // staged batch's y range (StageColumns)
+    uint64_t y_max = 0;
+  };
+  Staging staging_;
 };
 
 }  // namespace castream

@@ -21,9 +21,14 @@
 // tests/merge_policy_test.cc pins its merge counts and its accuracy
 // against exact oracles.
 //
-// Memory trade (deliberate): the tree pins up to S-1 internal-node copies
-// (aliased nodes are free) on top of the S snapshots themselves. Callers
-// that cannot afford it call Invalidate() between query bursts.
+// Memory: the tree pins up to S-1 internal nodes (aliased nodes are free)
+// on top of the S snapshots, but a node is not a second copy of its
+// children. Bucket counters are copy-on-write (src/sketch/counter_matrix.h):
+// a node built as a copy of its left child plus a merge of its right one
+// shares every bucket the merge did not touch with the left leaf, and
+// buckets adopted from the right child share that leaf's cells too. Only
+// buckets merged from both sides get fresh storage. Callers that still
+// cannot afford the nodes call Invalidate() between query bursts.
 #ifndef CASTREAM_DRIVER_MERGE_CACHE_H_
 #define CASTREAM_DRIVER_MERGE_CACHE_H_
 
@@ -42,8 +47,10 @@
 
 namespace castream {
 
-/// \brief Deep copy of a summary: the copy constructor where available,
-/// otherwise the explicit Clone() (AnySummary's move-only spelling).
+/// \brief Copy of a summary: the copy constructor where available,
+/// otherwise the explicit Clone() (AnySummary's move-only spelling). The
+/// copy behaves as a deep copy — writes to either side never show in the
+/// other — while unchanged bucket counters share storage copy-on-write.
 template <typename Summary>
 Summary SummaryDeepCopy(const Summary& s) {
   if constexpr (std::copy_constructible<Summary>) {

@@ -105,9 +105,9 @@ concept CloneableSummary = requires(const S& cs) {
   { cs.Clone() } -> std::same_as<S>;
 };
 
-/// \brief What copy-on-publish snapshots need: a deep copy, either the
-/// ordinary copy constructor (all concrete summary types) or Clone()
-/// (AnySummary).
+/// \brief What copy-on-publish snapshots need: a copy that behaves as a
+/// deep copy, either the ordinary copy constructor (all concrete summary
+/// types) or Clone() (AnySummary).
 template <typename S>
 concept SnapshotableSummary =
     ShardableSummary<S> && (std::copy_constructible<S> || CloneableSummary<S>);
@@ -131,7 +131,7 @@ struct ShardedDriverOptions {
   size_t queue_capacity = 8;
   /// Each shard's ingest thread republishes its snapshot after this many
   /// batches (clamped to >= 1). The knob trades snapshot staleness against
-  /// publish (deep copy) overhead on the ingest threads: while a shard is
+  /// publish (copy) overhead on the ingest threads: while a shard is
   /// actively ingesting, a snapshot query lags it by at most this many
   /// batches plus the queue depth, and each publish costs one summary copy
   /// amortized over the interval. A shard that goes *idle* with an
@@ -678,12 +678,14 @@ class ShardedDriver {
   ShardedDriverOptions options_;
   std::function<Summary()> make_summary_;
   // The epoch-keyed merge engine (src/driver/merge_cache.h; also the
-  // reducer's engine). Memory trade, deliberate: the tree pins up to S-1
-  // internal-node copies (plus the S published snapshots) on top of the
-  // live shards — roughly 3x one summary set — in exchange for O(log S)
-  // re-merges on single-shard change and zero-merge repeat queries. A
-  // deployment that can't afford it can shrink via fewer/smaller shards or
-  // drop the memo between query bursts with InvalidateSnapshotCache.
+  // reducer's engine): O(log S) re-merges on single-shard change and
+  // zero-merge repeat queries. Memory: the S published snapshots and the
+  // tree's S-1 internal nodes share bucket counters copy-on-write — a
+  // snapshot shares every bucket its live shard has not written since the
+  // publish (closed buckets never are), and a node shares every bucket its
+  // merge did not combine — so together they cost a fraction of one more
+  // summary set rather than two. Callers can still drop the memo between
+  // query bursts with InvalidateSnapshotCache.
   MergeCache<Summary> merge_cache_;
   std::vector<std::unique_ptr<Shard>> shards_;
   std::unique_ptr<Writer> default_writer_;

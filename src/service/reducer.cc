@@ -12,33 +12,27 @@ Result<std::unique_ptr<SnapshotReducer>> SnapshotReducer::Start(
     const ReducerOptions& options) {
   CASTREAM_ASSIGN_OR_RETURN(SummaryKind kind,
                             SummaryKindFromName(options.kind));
-  // Validate the summary configuration once, up front: the merge cache and
-  // the publish validator both build fresh summaries from it and must
-  // never see the factory fail afterwards.
+  // Validate the summary configuration once, up front: the fresh summary
+  // it builds is the template the merge cache and the publish validator
+  // share from then on.
   CASTREAM_ASSIGN_OR_RETURN(
-      AnySummary probe,
+      AnySummary empty,
       MakeSummary(kind, options.summary, options.summary_seed));
-  (void)probe;
   CASTREAM_ASSIGN_OR_RETURN(net::Listener listener,
                             net::Listener::Bind(options.port));
   std::unique_ptr<SnapshotReducer> reducer(
-      new SnapshotReducer(options, kind, std::move(listener)));
+      new SnapshotReducer(options, std::move(empty), std::move(listener)));
   reducer->accept_thread_ =
       std::thread([r = reducer.get()] { r->AcceptLoop(); });
   return reducer;
 }
 
 SnapshotReducer::SnapshotReducer(const ReducerOptions& options,
-                                 SummaryKind kind, net::Listener listener)
+                                 AnySummary empty, net::Listener listener)
     : options_(options),
-      kind_(kind),
+      empty_(std::move(empty)),
       listener_(std::move(listener)),
-      merge_cache_([this] {
-        // Start() proved this factory call succeeds for the validated
-        // configuration, so .value() cannot assert here.
-        return MakeSummary(kind_, options_.summary, options_.summary_seed)
-            .value();
-      }) {}
+      merge_cache_([this] { return empty_.Clone(); }) {}
 
 void SnapshotReducer::Shutdown() {
   if (stopping_.exchange(true)) {
@@ -193,20 +187,12 @@ void SnapshotReducer::HandlePublish(const net::FrameHeader& header,
     reject(decoded.status().ToString().c_str());
     return;
   }
-  if (decoded.value().kind() != kind_) {
-    reject("blob kind does not match the reducer's configured kind");
+  // The merge checks, run at the door against the configured empty
+  // summary: a kind, family or options mismatch (wrong seed, wrong
+  // dimensions) is rejected here instead of poisoning every future query.
+  if (Status st = empty_.CompatibleWith(decoded.value()); !st.ok()) {
+    reject(st.ToString().c_str());
     return;
-  }
-  {
-    // Probe-merge into a fresh summary: catches a family/options mismatch
-    // (wrong seed, wrong dimensions) at the door, instead of poisoning
-    // every future query. Costs one merge per accepted publish.
-    AnySummary probe =
-        MakeSummary(kind_, options_.summary, options_.summary_seed).value();
-    if (Status st = probe.MergeFrom(decoded.value()); !st.ok()) {
-      reject(st.ToString().c_str());
-      return;
-    }
   }
 
   std::lock_guard<std::mutex> lock(state_mu_);

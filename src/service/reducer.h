@@ -183,7 +183,7 @@ class SnapshotReducer {
     std::atomic<bool> done{false};
   };
 
-  SnapshotReducer(const ReducerOptions& options, SummaryKind kind,
+  SnapshotReducer(const ReducerOptions& options, AnySummary empty,
                   net::Listener listener);
 
   void AcceptLoop();
@@ -197,7 +197,9 @@ class SnapshotReducer {
   void ReapFinishedLocked();
 
   ReducerOptions options_;
-  SummaryKind kind_;
+  // The configured zero-stream summary: the template every accepted blob
+  // is checked against (CompatibleWith) and the merge cache's empty answer.
+  const AnySummary empty_;
   net::Listener listener_;
   std::thread accept_thread_;
   std::atomic<bool> stopping_{false};

@@ -219,12 +219,20 @@ class AmsF2Sketch {
       count_ += other.count_;
       return Status::OK();
     }
+    count_ += other.count_;
+    if (!counters_.has_value() && sparse_.empty()) {
+      // Nothing of our own to add: share the other side's cells (copy on
+      // write) — merging into an empty sketch is how queries and subtree
+      // adoption copy a bucket.
+      counters_ = other.counters_;
+      row_ss_ = other.row_ss_;
+      return Status::OK();
+    }
     if (!counters_.has_value()) Densify();
     counters_->AddFrom(other.counters_.value());
     for (uint32_t d = 0; d < counters_->depth(); ++d) {
       row_ss_[d] = counters_->RowSumSquares(d);
     }
-    count_ += other.count_;
     return Status::OK();
   }
 
@@ -306,10 +314,14 @@ class AmsF2Sketch {
 
   void InsertDense(uint64_t x, int64_t weight) {
     const RowHashSet& h = *hashes_;
+    int64_t* cells = counters_->MutableCells();
+    const size_t width = h.width();
     for (uint32_t d = 0; d < h.depth(); ++d) {
       const RowHasher& row = h.row(d);
       const int64_t delta = row.Sign(x) * weight;
-      const int64_t old = counters_->AddAndReturnOld(d, row.Bucket(x), delta);
+      int64_t& cell = cells[d * width + row.Bucket(x)];
+      const int64_t old = cell;
+      cell += delta;
       // (c+delta)^2 - c^2 = 2*c*delta + delta^2, so the row sum of squares
       // can be maintained in O(1) — this is what makes Estimate() cheap
       // enough for the per-insert bucket-closing test in Algorithm 2.
@@ -322,6 +334,8 @@ class AmsF2Sketch {
   void InsertDense(const RowHashSet::PreHashed& ph, int64_t weight) {
     const RowHashSet& h = *hashes_;
     const uint32_t depth = h.depth();
+    const size_t width = h.width();
+    int64_t* cells = counters_->MutableCells();
     for (uint32_t d = 0; d < depth; ++d) {
       int64_t sign;
       uint32_t bucket;
@@ -334,7 +348,9 @@ class AmsF2Sketch {
         bucket = row.Bucket(ph.x);
       }
       const int64_t delta = sign * weight;
-      const int64_t old = counters_->AddAndReturnOld(d, bucket, delta);
+      int64_t& cell = cells[d * width + bucket];
+      const int64_t old = cell;
+      cell += delta;
       row_ss_[d] += 2 * old * delta + delta * delta;
     }
   }
@@ -427,8 +443,8 @@ class AmsF2Sketch {
       return Status::InvalidArgument(
           "decode: dense counter dimensions disagree with the hash family");
     }
-    const size_t cells = static_cast<size_t>(d) * w;
-    if (dec.remaining() < cells * 8) {
+    const size_t cells_count = static_cast<size_t>(d) * w;
+    if (dec.remaining() < cells_count * 8) {
       return Status::InvalidArgument(
           "decode: payload too short for the declared counter matrix");
     }
@@ -436,12 +452,12 @@ class AmsF2Sketch {
     row_ss_.assign(d, 0);
     sparse_.clear();
     sparse_ss_ = 0;
+    int64_t* cells = counters_->MutableCells();
     for (uint32_t row = 0; row < d; ++row) {
       uint64_t ss = 0;  // unsigned: no UB on adversarial counter values
       for (uint32_t col = 0; col < w; ++col) {
-        int64_t v = 0;
+        int64_t& v = *cells++;
         CASTREAM_RETURN_NOT_OK(dec.ReadI64(&v));
-        counters_->AddAndReturnOld(row, col, v);
         ss += static_cast<uint64_t>(v) * static_cast<uint64_t>(v);
       }
       row_ss_[row] = static_cast<int64_t>(ss);

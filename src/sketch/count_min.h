@@ -77,8 +77,10 @@ class CountMinSketch {
           "CountSketch for turnstile updates");
     }
     const RowHashSet& h = *hashes_;
+    const size_t width = h.width();
+    int64_t* cells = counters_.MutableCells();
     for (uint32_t d = 0; d < h.depth(); ++d) {
-      counters_.AddAndReturnOld(d, h.row(d).Bucket(x), weight);
+      cells[d * width + h.row(d).Bucket(x)] += weight;
     }
     total_ += weight;
     return Status::OK();
@@ -94,10 +96,12 @@ class CountMinSketch {
     }
     const RowHashSet& h = *hashes_;
     const uint32_t depth = h.depth();
+    const size_t width = h.width();
+    int64_t* cells = counters_.MutableCells();
     for (uint32_t d = 0; d < depth; ++d) {
       const uint32_t bucket =
           d < ph.depth ? ph.bucket[d] : h.row(d).Bucket(ph.x);
-      counters_.AddAndReturnOld(d, bucket, weight);
+      cells[d * width + bucket] += weight;
     }
     total_ += weight;
     return Status::OK();

@@ -179,6 +179,10 @@ class CountSketch {
       for (const SparseEntry& e : other.sparse_) Insert(e.ph, e.w);
       return Status::OK();
     }
+    if (!counters_.has_value() && sparse_.empty()) {
+      counters_ = other.counters_;  // share (see AmsF2Sketch::MergeFrom)
+      return Status::OK();
+    }
     if (!counters_.has_value()) Densify();
     counters_->AddFrom(other.counters_.value());
     return Status::OK();
@@ -245,9 +249,11 @@ class CountSketch {
 
   void InsertDense(uint64_t x, int64_t weight) {
     const RowHashSet& h = *hashes_;
+    const size_t width = h.width();
+    int64_t* cells = counters_->MutableCells();
     for (uint32_t d = 0; d < h.depth(); ++d) {
       const RowHasher& row = h.row(d);
-      counters_->AddAndReturnOld(d, row.Bucket(x), row.Sign(x) * weight);
+      cells[d * width + row.Bucket(x)] += row.Sign(x) * weight;
     }
   }
 
@@ -255,13 +261,14 @@ class CountSketch {
   void InsertDense(const RowHashSet::PreHashed& ph, int64_t weight) {
     const RowHashSet& h = *hashes_;
     const uint32_t depth = h.depth();
+    const size_t width = h.width();
+    int64_t* cells = counters_->MutableCells();
     for (uint32_t d = 0; d < depth; ++d) {
       if (d < ph.depth) {
-        counters_->AddAndReturnOld(d, ph.bucket[d], ph.Sign(d) * weight);
+        cells[d * width + ph.bucket[d]] += ph.Sign(d) * weight;
       } else {
         const RowHasher& row = h.row(d);
-        counters_->AddAndReturnOld(d, row.Bucket(ph.x),
-                                   row.Sign(ph.x) * weight);
+        cells[d * width + row.Bucket(ph.x)] += row.Sign(ph.x) * weight;
       }
     }
   }
@@ -335,19 +342,16 @@ class CountSketch {
       return Status::InvalidArgument(
           "decode: dense counter dimensions disagree with the hash family");
     }
-    const size_t cells = static_cast<size_t>(d) * w;
-    if (dec.remaining() < cells * 8) {
+    const size_t cells_count = static_cast<size_t>(d) * w;
+    if (dec.remaining() < cells_count * 8) {
       return Status::InvalidArgument(
           "decode: payload too short for the declared counter matrix");
     }
     counters_.emplace(d, w);
     sparse_.clear();
-    for (uint32_t row = 0; row < d; ++row) {
-      for (uint32_t col = 0; col < w; ++col) {
-        int64_t v = 0;
-        CASTREAM_RETURN_NOT_OK(dec.ReadI64(&v));
-        counters_->AddAndReturnOld(row, col, v);
-      }
+    int64_t* cells = counters_->MutableCells();
+    for (size_t i = 0; i < cells_count; ++i) {
+      CASTREAM_RETURN_NOT_OK(dec.ReadI64(&cells[i]));
     }
     return Status::OK();
   }

@@ -199,6 +199,52 @@ TEST(AnySummaryTest, MergeChecksKindsAndEmptiness) {
   // Same kind, different seed: the concrete family check still fires.
   AnySummary f2c = std::move(MakeSummary("f2", opts, 2)).value();
   EXPECT_EQ(f2.MergeFrom(f2c).code(), Status::Code::kPreconditionFailed);
+
+  // CompatibleWith runs exactly these checks without merging anything.
+  EXPECT_EQ(f2.CompatibleWith(f0).code(), Status::Code::kPreconditionFailed);
+  EXPECT_EQ(f2.CompatibleWith(empty).code(), Status::Code::kInvalidArgument);
+  EXPECT_EQ(empty.CompatibleWith(f2).code(), Status::Code::kInvalidArgument);
+  EXPECT_TRUE(f2.CompatibleWith(f2b).ok());
+  EXPECT_EQ(f2.CompatibleWith(f2c).code(), Status::Code::kPreconditionFailed);
+}
+
+TEST(AnySummaryTest, CompatibleWithAgreesWithMergeForEveryKind) {
+  // For every kind, against a peer with the same configuration, another
+  // seed, and other options: CompatibleWith returns what MergeFrom would,
+  // and leaves the summary untouched.
+  const auto opts = SmallOptions();
+  auto other_opts = opts;
+  other_opts.eps = 0.1;
+  other_opts.phi_eps = 0.02;
+  other_opts.chh_y_eps = 0.02;
+  const auto stream = MakeStream(2000, opts.x_domain, opts.y_max, 23);
+  int rejected = 0;
+  for (const char* name : kKindNames) {
+    SCOPED_TRACE(name);
+    AnySummary base = std::move(MakeSummary(name, opts, 1)).value();
+    base.InsertBatch(std::span<const Tuple>(stream));
+    std::string before;
+    ASSERT_TRUE(base.Serialize(&before).ok());
+    struct Peer {
+      const SummaryOptions* opts;
+      uint64_t seed;
+    };
+    const Peer peers[] = {{&opts, 1}, {&opts, 2}, {&other_opts, 1}};
+    for (const Peer& p : peers) {
+      AnySummary peer = std::move(MakeSummary(name, *p.opts, p.seed)).value();
+      peer.InsertBatch(std::span<const Tuple>(stream));
+      AnySummary target = base.Clone();
+      const Status st = base.CompatibleWith(peer);
+      EXPECT_EQ(st.code(), target.MergeFrom(peer).code())
+          << "seed " << p.seed;
+      rejected += st.ok() ? 0 : 1;
+    }
+    std::string after;
+    ASSERT_TRUE(base.Serialize(&after).ok());
+    EXPECT_EQ(after, before);
+  }
+  // Every kind rejects the other options; the seeded kinds the other seed.
+  EXPECT_EQ(rejected, 6 + 4);
 }
 
 TEST(AnySummaryTest, ShardedDriverRunsOnAnySummaryAndShipsShardBlobs) {

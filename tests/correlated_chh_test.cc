@@ -309,6 +309,41 @@ TEST(CorrelatedFastChhTest, IntervalBracketsTheTruth) {
   }
 }
 
+TEST(CorrelatedFastChhTest, HeavyItemHiddenInInheritedErrorIsReported) {
+  // Every slot of x's y stage lies above the cutoff: its below-cutoff mass
+  // was evicted and now survives only as the inherited error of an
+  // above-cutoff slot. x is still a true phi-hitter at that cutoff, so its
+  // certain upper bound (below-cutoff count 0 + inherited error) must get it
+  // reported; an entry with no below-cutoff slot is judged like any other.
+  CorrelatedChhOptions opts;
+  opts.x_capacity_override = 4;
+  opts.y_capacity_override = 4;
+  CorrelatedFastChh s(opts);
+  ChhOracle oracle;
+  const uint64_t kHeavy = 9;
+  const auto add = [&](uint64_t x, uint64_t y, uint64_t w) {
+    s.Insert(x, y, static_cast<int64_t>(w));
+    oracle.Add(x, y, w);
+  };
+  add(kHeavy, 1, 50);  // the below-cutoff mass
+  for (uint64_t y = 1000; y <= 3000; y += 1000) add(kHeavy, y, 100);
+  add(kHeavy, 4000, 100);  // evicts y = 1; its 50 become inherited error
+  add(7, 3, 10);
+
+  // N = 460 and f_x(10) = 50 >= 0.1 * N.
+  constexpr uint64_t kCutoff = 10;
+  constexpr double kPhi = 0.1;
+  const std::vector<uint64_t> truth = oracle.TrueHitters(kCutoff, kPhi);
+  ASSERT_NE(std::find(truth.begin(), truth.end(), kHeavy), truth.end());
+  auto hitters = s.QueryHeavyHitters(kCutoff, kPhi);
+  ASSERT_TRUE(hitters.ok());
+  for (uint64_t x : truth) {
+    bool found = false;
+    for (const HeavyHitter& h : hitters.value()) found |= (h.item == x);
+    EXPECT_TRUE(found) << "x=" << x;
+  }
+}
+
 TYPED_TEST(CorrelatedChhTypedTest, MergeMatchesSingleStreamExactRegime) {
   // No overflow anywhere: the merged state is bit-for-bit the single-stream
   // state regardless of how the stream was partitioned.
