@@ -143,7 +143,7 @@ BENCHMARK(BM_BurstyF2InsertCoalesced);
 
 void BM_ChurnF2InsertBatched(benchmark::State& state) {
   // Rotating working set: per-key state keeps going cold — a stress on the
-  // columnar path's sorted-run reuse rather than on coalescing.
+  // columnar path's per-level scans rather than on coalescing.
   auto sketch = MakeCorrelatedF2(bench::F2BenchOpts(0.20, kYRange), 3);
   RunBatched(state, sketch, ChurnStream());
 }

@@ -113,20 +113,25 @@ if ! grep -q '"\$BIN" kinds' ci/shardctl_demo.sh; then
   exit 1
 fi
 
-# Merge-order drift guard: the binary merge tree is the only merge order,
+# Removed-name drift guard. The binary merge tree is the only merge order,
 # and Query(c, QueryOptions) / Summarize(QueryOptions) the only query
-# surface. The names of the removed linear prefix chain and of the legacy
-# query spellings must not creep back into the code.
+# surface; CorrelatedSketch::InsertBatch routes with a skip-or-scan gate per
+# level and per-item pre-hashing. The names of the removed linear prefix
+# chain, of the legacy query spellings, and of the ablated batch fast paths
+# (sorted candidate run, software prefetch, column pre-hash) must not creep
+# back into the code.
 REMOVED_NAME_ARGS=()
 for name in MergePolicy kLinear PrefixMergeCache MergedSummary \
             SnapshotSummary 'SnapshotQuery(' SnapshotQueryWindow \
-            SnapshotQuerySince; do
+            SnapshotQuerySince TryEligibleRows kSortedRunDivisor \
+            PrefetchInsert PreHashBatch PrehashBatch CASTREAM_PREFETCH; do
   REMOVED_NAME_ARGS+=(-e "$name")
 done
 STALE_NAMES=$(grep -rnF "${REMOVED_NAME_ARGS[@]}" src tests bench examples \
   || true)
 if [ -n "$STALE_NAMES" ]; then
-  echo "error: removed merge-policy / legacy query names reappeared:" >&2
+  echo "error: removed merge-policy / legacy query / batch fast-path names" \
+       "reappeared:" >&2
   echo "$STALE_NAMES" >&2
   exit 1
 fi

@@ -42,14 +42,18 @@
 //     singletons are flat sorted vectors (discards only ever pop the back),
 //     and a per-level cursor caches the last leaf so runs of nearby y values
 //     skip the root-to-leaf descent;
-//   * InsertBatch processes a batch level-major (all tuples through level 0,
-//     then through each tree level) — levels are mutually independent, so
-//     this is *exactly* equivalent to one-at-a-time insertion in stream
-//     order while keeping each level's tree cache-resident. The batch is
-//     deliberately NOT re-sorted by y: reordering can shift bucket-closing
-//     times, which changes which dyadic spans straddle a query cutoff and
-//     therefore the answer; level-major order gives the locality win without
-//     giving up estimate-identical batched ingest;
+//   * InsertBatch stages the batch's clamped y column, hashes each x once,
+//     and processes the batch level-major (all tuples through level 0, then
+//     through each tree level) — levels are mutually independent, so this
+//     is *exactly* equivalent to one-at-a-time insertion in stream order
+//     while keeping each level's tree cache-resident. Per level there is
+//     one two-way gate: a discard threshold at or below the batch's y-min
+//     skips the level in O(1) (Y_l only decreases, so no row can become
+//     eligible); otherwise one plain scan re-checks y < Y_l per row, which
+//     honors discards made mid-batch. The batch is deliberately NOT
+//     re-sorted by y: reordering can shift bucket-closing times, which
+//     changes which dyadic spans straddle a query cutoff and therefore the
+//     answer;
 //   * virtual root pool: every level whose root bucket has never closed has,
 //     by construction, absorbed the exact same stream — every arrival, since
 //     its Y_l is still infinite and its tree is the single open root. Those
@@ -122,23 +126,6 @@ concept PreHashedIngest = requires(const Factory& f, Sketch& s) {
 template <typename S>
 concept HasEstimateUpperBound = requires(const S& s) {
   { s.EstimateUpperBound() } -> std::convertible_to<double>;
-};
-
-/// \brief True when the factory can pre-hash a whole column of x values in
-/// one contiguous pass (RowHashSet::PreHashBatch). Factories without it fall
-/// back to a per-item Prehash loop; results are identical either way.
-template <typename Factory, typename PreHashed>
-concept BatchPreHash = requires(const Factory& f, std::span<const uint64_t> xs,
-                                PreHashed* out) {
-  f.PrehashBatch(xs, out);
-};
-
-/// \brief True when the sketch can warm the cache lines an upcoming
-/// pre-hashed insert will touch. Prefetching is advisory — it never changes
-/// results — so the batch path uses it freely with a small lookahead.
-template <typename S, typename PreHashed>
-concept HasPrefetchInsert = requires(const S& s, const PreHashed& ph) {
-  s.PrefetchInsert(ph);
 };
 
 /// \brief Batch scratch storage: a vector of the factory's pre-hashed type
@@ -222,12 +209,12 @@ class CorrelatedSketch {
 
   /// \brief Batched insertion: exactly equivalent to calling Insert on each
   /// tuple in order (the equivalence is tested, not aspirational), processed
-  /// as a columnar (SoA) pipeline: the batch is staged into x / y column
-  /// buffers, the whole x column is pre-hashed in one contiguous row-outer
-  /// pass (Factory::PrehashBatch when available), and rows are then routed
-  /// level-major with per-level sorted candidate runs and software prefetch
-  /// on the bucket-sketch cells (the amortization of Lemma 9). Callers keep
-  /// ownership of the buffer and can reuse its capacity.
+  /// as a columnar (SoA) pipeline: the batch is staged into x / clamped-y
+  /// column buffers, each x is pre-hashed once (Factory::Prehash, when the
+  /// factory has it), and rows are then routed level-major — a level whose
+  /// discard threshold is at or below the batch's y-min is skipped, every
+  /// other level takes one plain scan (the amortization of Lemma 9). Callers
+  /// keep ownership of the buffer and can reuse its capacity.
   void InsertBatch(std::span<const Tuple> batch) {
     if (batch.empty()) return;
     tuples_inserted_ += batch.size();
@@ -707,37 +694,6 @@ class CorrelatedSketch {
   static constexpr bool kPreHashedIngest =
       internal::PreHashedIngest<Factory, Sketch>;
 
-  /// \brief The factory's pre-hashed row type (meaningful only when
-  /// kPreHashedIngest holds; an inert stand-in otherwise, so the dependent
-  /// concepts below stay well-formed).
-  struct NoPreHash {};
-  template <typename F, bool = internal::PreHashedIngest<F, Sketch>>
-  struct PreHashedTypeOf {
-    using type = NoPreHash;
-  };
-  template <typename F>
-  struct PreHashedTypeOf<F, true> {
-    using type =
-        std::decay_t<decltype(std::declval<const F&>().Prehash(uint64_t{0}))>;
-  };
-  using PreHashedT = typename PreHashedTypeOf<Factory>::type;
-
-  static constexpr bool kBatchPreHash =
-      kPreHashedIngest && internal::BatchPreHash<Factory, PreHashedT>;
-  static constexpr bool kPrefetchIngest =
-      kPreHashedIngest && internal::HasPrefetchInsert<Sketch, PreHashedT>;
-  /// Rows to run ahead of the update loop when issuing prefetches: far
-  /// enough to cover a memory round trip, near enough that the lines are
-  /// still resident when the loop arrives.
-  static constexpr size_t kPrefetchLookahead = 8;
-  /// Row indices are staged as uint32 (half the sort traffic of size_t);
-  /// batches beyond that — never seen in practice — take the plain scans.
-  static constexpr size_t kMaxIndexedRows = UINT32_MAX;
-  /// A thresholded level takes the sorted-run path only when its eligible
-  /// prefix is at most 1/this of the batch; larger prefixes plain-scan
-  /// (copy + re-sort of a near-whole batch costs more than the scan).
-  static constexpr size_t kSortedRunDivisor = 4;
-
   struct Node {
     DyadicInterval span;
     Sketch sketch;
@@ -788,24 +744,20 @@ class CorrelatedSketch {
 
   // ---- Columnar batch pipeline ---------------------------------------------
 
-  /// \brief Stages a batch into SoA column buffers: x values contiguous for
-  /// the bulk pre-hash pass, y values pre-clamped once (instead of per level
-  /// per row), and — for weighted batches — the weight column.
+  /// \brief Stages a batch into SoA column buffers: x values, y values
+  /// pre-clamped once (instead of per level per row) with the batch's y-min,
+  /// and — for weighted batches — the weight column.
   template <typename T>
   void StageColumns(std::span<const T> batch) {
     const size_t n = batch.size();
     staging_.x.resize(n);
     staging_.y.resize(n);
     staging_.y_min = UINT64_MAX;
-    staging_.y_max = 0;
     for (size_t i = 0; i < n; ++i) {
       staging_.x[i] = batch[i].x;
       const uint64_t y = std::min(batch[i].y, y_max_);
       staging_.y[i] = y;
-      // The batch's y range, for free in this pass: levels whose threshold
-      // falls outside it are routed without sorting (see RunBatchTreeLevel).
       staging_.y_min = std::min(staging_.y_min, y);
-      staging_.y_max = std::max(staging_.y_max, y);
     }
     if constexpr (requires(const T& t) { t.weight; }) {
       staging_.w.resize(n);
@@ -818,20 +770,11 @@ class CorrelatedSketch {
   /// batches; the w column otherwise).
   template <typename WeightAt>
   void RunStagedBatch(WeightAt weight_at) {
-    staging_.order_ready = false;
     if constexpr (kPreHashedIngest) {
       const size_t n = staging_.x.size();
       staging_.prehash.resize(n);
-      if constexpr (kBatchPreHash) {
-        // One contiguous row-outer pass over the whole column: the hash
-        // coefficients stay register-resident and the compiler sees a tight
-        // vectorizable loop (RowHashSet::PreHashBatch).
-        factory_.PrehashBatch(std::span<const uint64_t>(staging_.x),
-                              staging_.prehash.data());
-      } else {
-        for (size_t i = 0; i < n; ++i) {
-          staging_.prehash[i] = factory_.Prehash(staging_.x[i]);
-        }
+      for (size_t i = 0; i < n; ++i) {
+        staging_.prehash[i] = factory_.Prehash(staging_.x[i]);
       }
       RouteStagedRows(
           [this](size_t i) -> decltype(auto) { return (staging_.prehash[i]); },
@@ -852,7 +795,13 @@ class CorrelatedSketch {
   template <typename ItemAt, typename WeightAt>
   void RouteStagedRows(ItemAt item_at, WeightAt weight_at) {
     const size_t n = staging_.y.size();
-    RunBatchLevel0(item_at, weight_at);
+    // Level 0 re-checks its threshold per row (InsertLevel0), so discards
+    // that happen mid-batch are honored exactly as in sequential ingest.
+    if (level0_threshold_ > staging_.y_min) {
+      for (size_t i = 0; i < n; ++i) {
+        InsertLevel0(item_at(i), staging_.y[i], weight_at(i));
+      }
+    }
     const uint32_t real_end = first_virtual_;
     for (uint32_t l = 1; l < real_end; ++l) {
       RunBatchTreeLevel(levels_[l], item_at, weight_at, 0);
@@ -864,13 +813,6 @@ class CorrelatedSketch {
       };
       std::vector<Resume> resumes;
       for (size_t i = 0; i < n; ++i) {
-        if constexpr (kPrefetchIngest) {
-          // Every row lands in the shared tail; warm the counter cells the
-          // row kPrefetchLookahead ahead will hit.
-          if (i + kPrefetchLookahead < n) {
-            tail_.PrefetchInsert(staging_.prehash[i + kPrefetchLookahead]);
-          }
-        }
         const uint32_t before = first_virtual_;
         InsertVirtualTail(item_at(i), weight_at(i));
         for (uint32_t l = before; l < first_virtual_; ++l) {
@@ -883,129 +825,20 @@ class CorrelatedSketch {
     }
   }
 
-  template <typename ItemAt, typename WeightAt>
-  void RunBatchLevel0(ItemAt item_at, WeightAt weight_at) {
-    const size_t n = staging_.y.size();
-    if (n == 0) return;
-    if (level0_threshold_ != UINT64_MAX &&
-        level0_threshold_ <= staging_.y_min) {
-      return;  // no staged row is below the threshold; nothing to do
-    }
-    std::span<const uint32_t> rows;
-    if (level0_threshold_ != UINT64_MAX &&
-        level0_threshold_ <= staging_.y_max && n <= kMaxIndexedRows &&
-        TryEligibleRows(level0_threshold_, &rows)) {
-      for (uint32_t i : rows) {
-        InsertLevel0(item_at(i), staging_.y[i], weight_at(i));
-      }
-      return;
-    }
-    for (size_t i = 0; i < n; ++i) {
-      // InsertLevel0 re-checks the threshold itself, so discards that
-      // happen mid-batch are honored exactly as in sequential ingest.
-      InsertLevel0(item_at(i), staging_.y[i], weight_at(i));
-    }
-  }
-
-  /// \brief Runs the staged rows through one tree level. When the level has
-  /// a finite discard threshold Y_l, only the candidate rows with y < Y_l
-  /// (a prefix of the batch's y-sorted run, restored to stream order) are
-  /// visited — the rest can never become eligible because Y_l only decreases
-  /// — while the live threshold re-check per row still honors discards that
-  /// happen during this very level's processing. Resumed levels (fresh out
-  /// of the virtual pool, Y_l still infinite) take the plain scan.
+  /// \brief Runs staged rows [from, n) through one tree level. A threshold
+  /// at or below the batch's y-min skips the level in O(1): eligibility is
+  /// y < Y_l and Y_l only decreases, so no row can be absorbed. Otherwise
+  /// one plain scan re-checks the live threshold per row, which honors
+  /// discards that happen during this very level's processing.
   template <typename ItemAt, typename WeightAt>
   void RunBatchTreeLevel(Level& level, ItemAt item_at, WeightAt weight_at,
                          size_t from) {
+    if (level.y_threshold <= staging_.y_min) return;
     const size_t n = staging_.y.size();
-    if (n == 0) return;
-    // Route by where the threshold sits relative to the batch's y range:
-    //   * at or below the batch minimum — no row can be absorbed (eligibility
-    //     is y < Y_l and Y_l only decreases), so the level is skipped in O(1);
-    //   * above the batch maximum — every row is eligible, so the sorted run
-    //     can prune nothing and the plain scan is strictly cheaper;
-    //   * inside the range — the sorted run pays exactly when the eligible
-    //     prefix is small (TryEligibleRows enforces that), which is the
-    //     late-stream regime where deep levels absorb only a sliver of each
-    //     batch.
-    if (level.y_threshold != UINT64_MAX &&
-        level.y_threshold <= staging_.y_min) {
-      return;
-    }
-    if (from == 0 && level.y_threshold != UINT64_MAX &&
-        level.y_threshold <= staging_.y_max && n <= kMaxIndexedRows) {
-      std::span<const uint32_t> rows;
-      if (TryEligibleRows(level.y_threshold, &rows)) {
-        for (size_t k = 0; k < rows.size(); ++k) {
-          const uint32_t i = rows[k];
-          const uint64_t y = staging_.y[i];
-          if (y >= level.y_threshold) continue;  // live re-check (see above)
-          if constexpr (kPrefetchIngest) {
-            if (k + kPrefetchLookahead < rows.size()) {
-              PrefetchTreeRow(level, rows[k + kPrefetchLookahead]);
-            }
-          }
-          InsertTreeLevel(level, item_at(i), y, weight_at(i));
-        }
-        return;
-      }
-    }
     for (size_t i = from; i < n; ++i) {
       const uint64_t y = staging_.y[i];
       if (y >= level.y_threshold) continue;
-      if constexpr (kPrefetchIngest) {
-        const size_t j = i + kPrefetchLookahead;
-        if (j < n && staging_.y[j] < level.y_threshold) {
-          PrefetchTreeRow(level, j);
-        }
-      }
       InsertTreeLevel(level, item_at(i), y, weight_at(i));
-    }
-  }
-
-  /// \brief Rows eligible for a level with threshold Y_l, in stream order:
-  /// binary-search the cutoff in the batch's (y, idx)-sorted order (built
-  /// lazily, once per batch), then restore the eligible prefix to ascending
-  /// stream index. Returns false — telling the caller to plain-scan — when
-  /// the eligible prefix exceeds 1/kSortedRunDivisor of the batch: copying
-  /// and re-sorting a near-whole batch costs more than the scan it replaces,
-  /// so the sorted run is reserved for levels that absorb only a sliver.
-  bool TryEligibleRows(uint64_t threshold, std::span<const uint32_t>* rows) {
-    const size_t n = staging_.y.size();
-    if (!staging_.order_ready) {
-      staging_.order_ready = true;
-      staging_.order.resize(n);
-      for (size_t i = 0; i < n; ++i) {
-        staging_.order[i] = static_cast<uint32_t>(i);
-      }
-      std::sort(staging_.order.begin(), staging_.order.end(),
-                [this](uint32_t a, uint32_t b) {
-                  return staging_.y[a] != staging_.y[b]
-                             ? staging_.y[a] < staging_.y[b]
-                             : a < b;
-                });
-    }
-    auto it = std::lower_bound(
-        staging_.order.begin(), staging_.order.end(), threshold,
-        [this](uint32_t idx, uint64_t t) { return staging_.y[idx] < t; });
-    const size_t k = static_cast<size_t>(it - staging_.order.begin());
-    if (k * kSortedRunDivisor > n) return false;
-    staging_.cand.assign(staging_.order.begin(), it);
-    std::sort(staging_.cand.begin(), staging_.cand.end());
-    *rows = std::span<const uint32_t>(staging_.cand);
-    return true;
-  }
-
-  /// \brief Warms the counter cells row i will touch at this level: resolve
-  /// its leaf (read-only; the cursor makes runs cheap) and prefetch the
-  /// pre-hashed cells of that leaf's sketch. Advisory only.
-  void PrefetchTreeRow(const Level& level, size_t i) const {
-    if constexpr (kPrefetchIngest) {
-      const int32_t idx = FindLeaf(level, staging_.y[i]);
-      if (idx >= 0) level.nodes[idx].sketch.PrefetchInsert(staging_.prehash[i]);
-    } else {
-      (void)level;
-      (void)i;
     }
   }
 
@@ -1479,12 +1312,10 @@ class CorrelatedSketch {
   uint32_t first_virtual_ = 1;
 
   /// \brief Columnar batch staging (reused across batches; capacity
-  /// sticks): x / y / w columns and their pre-hashes, the batch's
-  /// (y, idx)-sorted row order (built lazily on the first level that has a
-  /// finite threshold), and the per-level candidate rows restored to stream
-  /// order. It carries no state from one batch to the next, so a copy of
-  /// the summary starts with empty staging instead of duplicating buffers
-  /// sized by the last batch.
+  /// sticks): x / y / w columns, the x pre-hashes and the batch's y-min. It
+  /// carries no state from one batch to the next, so a copy of the summary
+  /// starts with empty staging instead of duplicating buffers sized by the
+  /// last batch.
   struct Staging {
     Staging() = default;
     Staging(const Staging&) {}
@@ -1496,11 +1327,7 @@ class CorrelatedSketch {
     std::vector<uint64_t> x;
     std::vector<uint64_t> y;
     std::vector<int64_t> w;
-    std::vector<uint32_t> order;
-    std::vector<uint32_t> cand;
-    bool order_ready = false;
-    uint64_t y_min = UINT64_MAX;  // staged batch's y range (StageColumns)
-    uint64_t y_max = 0;
+    uint64_t y_min = UINT64_MAX;  // smallest staged y (StageColumns)
   };
   Staging staging_;
 };

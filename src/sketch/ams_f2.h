@@ -26,10 +26,8 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <span>
 #include <vector>
 
-#include "src/common/bit_util.h"
 #include "src/common/result.h"
 #include "src/common/status.h"
 #include "src/hash/row_hasher.h"
@@ -76,21 +74,6 @@ class AmsF2SketchFactory {
   }
   void Prehash(uint64_t x, RowHashSet::PreHashed& out) const {
     hashes_->Prehash(x, out);
-  }
-
-  /// \brief Bulk pre-hash: one contiguous row-outer pass over all xs (see
-  /// RowHashSet::PreHashBatch). `out` must hold at least xs.size() elements.
-  void PrehashBatch(std::span<const uint64_t> xs,
-                    RowHashSet::PreHashed* out) const {
-    hashes_->PreHashBatch(xs, out);
-  }
-
-  /// \brief Accessor-form bulk pre-hash for strided outputs (the
-  /// heavy-hitter bundle fills struct members); see
-  /// RowHashSet::PreHashBatchTo.
-  template <typename OutAt>
-  void PrehashBatchTo(std::span<const uint64_t> xs, OutAt at) const {
-    hashes_->PreHashBatchTo(xs.data(), xs.size(), at);
   }
 
   uint32_t depth() const { return hashes_->depth(); }
@@ -153,20 +136,6 @@ class AmsF2Sketch {
       return;
     }
     InsertDense(ph, weight);
-  }
-
-  /// \brief Warms the cache lines a subsequent Insert(ph, w) will touch.
-  /// Purely advisory — never changes any state or result — so the columnar
-  /// ingest path can issue it a few items ahead of the update loop.
-  void PrefetchInsert(const RowHashSet::PreHashed& ph) const {
-    if (!counters_.has_value()) {
-      if (!sparse_.empty()) CASTREAM_PREFETCH(sparse_.data());
-      return;
-    }
-    const uint32_t covered = std::min<uint32_t>(ph.depth, counters_->depth());
-    for (uint32_t d = 0; d < covered; ++d) {
-      CASTREAM_PREFETCH_WRITE(counters_->CellAddr(d, ph.bucket[d]));
-    }
   }
 
   /// \brief Median-of-rows estimate of F2 (exact while sparse). O(depth).

@@ -64,12 +64,6 @@ class CounterMatrix {
     return Cells(block_);
   }
 
-  /// \brief Address of one cell, for software prefetch ahead of an update
-  /// loop; never dereferenced by the caller.
-  const int64_t* CellAddr(uint32_t row, uint32_t col) const {
-    return &Cells(block_)[static_cast<size_t>(row) * width_ + col];
-  }
-
   /// \brief Cell-wise addition; dimensions must match (checked by caller).
   /// Unshared cells are added in place; shared ones are replaced by one
   /// fresh allocation holding the sums, so the merge costs no more than an

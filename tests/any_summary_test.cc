@@ -19,19 +19,7 @@
 namespace castream {
 namespace {
 
-using test::TestRng;
-
-std::vector<Tuple> MakeStream(size_t n, uint64_t x_domain, uint64_t y_max,
-                              uint64_t seed) {
-  Xoshiro256 rng = TestRng(seed);
-  std::vector<Tuple> stream;
-  stream.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    stream.push_back(
-        Tuple{rng.NextBounded(x_domain + 1), rng.NextBounded(y_max + 1)});
-  }
-  return stream;
-}
+using test::UniformStream;
 
 SummaryOptions SmallOptions() {
   SummaryOptions opts;
@@ -94,7 +82,7 @@ TEST(AnySummaryTest, RegistryCoversEveryKindByTagAndName) {
 
 TEST(AnySummaryTest, EveryKindIngestsQueriesRoundTripsAndMergesWithEmpty) {
   const auto opts = SmallOptions();
-  const auto stream = MakeStream(8000, opts.x_domain, opts.y_max, 21);
+  const auto stream = UniformStream(8000, opts.x_domain + 1, opts.y_max, 21);
   for (const char* name : kKindNames) {
     auto made = MakeSummary(name, opts, /*seed=*/77);
     ASSERT_TRUE(made.ok()) << name;
@@ -133,7 +121,7 @@ TEST(AnySummaryTest, EveryKindIngestsQueriesRoundTripsAndMergesWithEmpty) {
 
 TEST(AnySummaryTest, WrapsAreBitForBitTheConcreteSummary) {
   const auto opts = SmallOptions();
-  const auto stream = MakeStream(6000, opts.x_domain, opts.y_max, 22);
+  const auto stream = UniformStream(6000, opts.x_domain + 1, opts.y_max, 22);
 
   // Same construction path (MakeSummary uses MakeCorrelatedF2 under the
   // hood), same seed, same stream: answers must be identical, not close.
@@ -217,7 +205,7 @@ TEST(AnySummaryTest, CompatibleWithAgreesWithMergeForEveryKind) {
   other_opts.eps = 0.1;
   other_opts.phi_eps = 0.02;
   other_opts.chh_y_eps = 0.02;
-  const auto stream = MakeStream(2000, opts.x_domain, opts.y_max, 23);
+  const auto stream = UniformStream(2000, opts.x_domain + 1, opts.y_max, 23);
   int rejected = 0;
   for (const char* name : kKindNames) {
     SCOPED_TRACE(name);
@@ -249,7 +237,7 @@ TEST(AnySummaryTest, CompatibleWithAgreesWithMergeForEveryKind) {
 
 TEST(AnySummaryTest, ShardedDriverRunsOnAnySummaryAndShipsShardBlobs) {
   const auto opts = SmallOptions();
-  const auto stream = MakeStream(12000, opts.x_domain, opts.y_max, 23);
+  const auto stream = UniformStream(12000, opts.x_domain + 1, opts.y_max, 23);
   for (const char* name : kKindNames) {
     auto make = [&] {
       return std::move(MakeSummary(name, opts, /*seed=*/88)).value();

@@ -55,9 +55,9 @@ TEST(CounterMatrixTest, CopySharesUntilFirstWrite) {
   EXPECT_EQ(b.at(1, 1), 8);
 
   // The sole owner writes in place: no further copy.
-  const int64_t* before = b.CellAddr(0, 0);
+  const int64_t* before = b.MutableCells();
   b.MutableCells()[0] = 3;
-  EXPECT_EQ(b.CellAddr(0, 0), before);
+  EXPECT_EQ(b.MutableCells(), before);
   // Logical size regardless of sharing.
   EXPECT_EQ(a.SizeBytes(), 8 * sizeof(int64_t));
 }
@@ -87,9 +87,9 @@ TEST(CounterMatrixTest, AddIntoSharedCellsLeavesTheSharerAlone) {
   // Sharer dropped: the survivor adds in place.
   CounterMatrix solo = a;
   a = CounterMatrix(1, 1);
-  const int64_t* before = solo.CellAddr(0, 0);
+  const int64_t* before = solo.MutableCells();
   solo.AddFrom(other);
-  EXPECT_EQ(solo.CellAddr(0, 0), before);
+  EXPECT_EQ(solo.MutableCells(), before);
   EXPECT_EQ(solo.at(1, 2), 55);
 }
 

@@ -3,10 +3,12 @@
 // path pre-hashes and routes level-major, but must reproduce every split,
 // close, and discard decision bit-for-bit. These tests feed one permuted
 // stream to a sequential summary and to a batched twin (uneven batch sizes,
-// including empty and singleton batches) and require identical structure and
+// including empty and singleton batches) and require identical structure
+// (byte-identical serialized state for the f2 and hh summaries) and
 // identical query answers across a cutoff ladder, for every summary type.
 #include <cstdint>
 #include <span>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -45,9 +47,9 @@ std::vector<Tuple> MakeStream(size_t n, uint64_t x_domain, uint64_t y_max,
 // Zipf(1.1)-ordered, duplicate-heavy stream: x drawn Zipfian so a handful
 // of identifiers dominate, y quantized to `y_card` distinct values so whole
 // (x, y) pairs repeat, plus occasional bursts of back-to-back identical
-// tuples. This is the trace shape the columnar router's threshold gates and
-// sorted-run pruning see in production, and the worst case for any batching
-// bug that depends on rows being distinct.
+// tuples. This is the trace shape the columnar router's per-level threshold
+// gates see in production, and the worst case for any batching bug that
+// depends on rows being distinct.
 std::vector<Tuple> MakeZipfStream(size_t n, uint64_t x_domain, uint64_t y_max,
                                   uint64_t y_card, uint64_t seed) {
   Xoshiro256 rng = TestRng(seed);
@@ -121,8 +123,24 @@ void ExpectIdenticalScalarQueries(const S& sequential, const S& batched,
   }
 }
 
+// Serialized-bytes equality for the kinds with a wire format: pins every
+// bucket cell, check counter, close flag and free-list slot, not just the
+// thresholds, bucket counts and answers compared elsewhere.
+template <typename S>
+void ExpectIdenticalBytes(const S& sequential, const S& batched) {
+  std::string a;
+  std::string b;
+  ASSERT_TRUE(sequential.Serialize(&a).ok());
+  ASSERT_TRUE(batched.Serialize(&b).ok());
+  ASSERT_EQ(a.size(), b.size());
+  ASSERT_TRUE(a == b) << "serialized summaries differ";
+}
+
 template <typename S>
 void ExpectIdenticalStructure(const S& sequential, const S& batched) {
+  if constexpr (requires(std::string* out) { sequential.Serialize(out); }) {
+    ExpectIdenticalBytes(sequential, batched);
+  }
   ASSERT_EQ(sequential.tuples_inserted(), batched.tuples_inserted());
   ASSERT_TRUE(sequential.ValidateInvariants().ok());
   ASSERT_TRUE(batched.ValidateInvariants().ok());
@@ -223,6 +241,7 @@ TEST(InsertBatchEquivalenceTest, CorrelatedRaritySketch) {
 void ExpectIdenticalHeavyHitterQueries(const CorrelatedF2HeavyHitters& a,
                                        const CorrelatedF2HeavyHitters& b,
                                        uint64_t y_max, uint64_t ladder_seed) {
+  ExpectIdenticalBytes(a, b);
   ASSERT_TRUE(a.ValidateInvariants().ok());
   ASSERT_TRUE(b.ValidateInvariants().ok());
   for (uint64_t c : CutoffLadder(y_max, ladder_seed)) {
@@ -262,8 +281,8 @@ TEST(InsertBatchEquivalenceTest, CorrelatedF2HeavyHitters) {
 // ---------------------------------------------------------------------------
 // Zipf(1.1)-ordered, duplicate-heavy streams. Repeated (x, y) pairs keep the
 // same rows landing in the same buckets, which is exactly where the columnar
-// router's per-level threshold gates and sorted candidate runs could diverge
-// from sequential order if the pruning were approximate.
+// router's per-level threshold gates could diverge from sequential order if
+// the skip or the per-row re-check were approximate.
 // ---------------------------------------------------------------------------
 
 TEST(InsertBatchEquivalenceTest, ZipfDuplicateHeavyF2AmsSketch) {

@@ -33,23 +33,10 @@ namespace castream {
 namespace {
 
 using test::F0Oracle;
+using test::SkewedStream;
 using test::SweepCounter;
 using test::TestRng;
 using test::TrialsWithin;
-
-std::vector<Tuple> MakeStream(size_t n, uint64_t x_domain, uint64_t y_max,
-                              uint64_t seed) {
-  Xoshiro256 rng = TestRng(seed);
-  std::vector<Tuple> stream;
-  stream.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    const uint64_t x = (rng.NextBounded(4) == 0)
-                           ? rng.NextBounded(8)
-                           : 100 + rng.NextBounded(x_domain);
-    stream.push_back(Tuple{x, rng.NextBounded(y_max + 1)});
-  }
-  return stream;
-}
 
 // Round-robin split: deliberately NOT the x-partition the sharded driver
 // uses, so the same identifier shows up in several parts and the merge has
@@ -104,7 +91,7 @@ TEST(MergeEquivalenceTest, MergeIntoFreshSummaryClonesAnswersBitForBit) {
   patched.conditions = AggregateConditions::ForFk(2.0);
   CorrelatedF2Sketch original(patched, factory);
   CorrelatedF2Sketch clone(patched, factory);
-  for (const Tuple& t : MakeStream(30000, 600, opts.y_max, 7)) {
+  for (const Tuple& t : SkewedStream(30000, 600, opts.y_max, 7)) {
     original.Insert(t.x, t.y);
   }
   ASSERT_TRUE(clone.MergeFrom(original).ok());
@@ -151,7 +138,7 @@ TEST(MergeEquivalenceTest, SplitStreamMergeWithinEpsOfTruth) {
     AmsF2SketchFactory factory(AmsDimsFor(opts.eps, 1e-4, 4), seed);
     CorrelatedSketchOptions patched = opts;
     patched.conditions = AggregateConditions::ForFk(2.0);
-    const auto stream = MakeStream(40000, 500, opts.y_max, seed);
+    const auto stream = SkewedStream(40000, 500, opts.y_max, seed);
     ExactCorrelatedAggregate truth(AggregateKind::kF2);
     for (const Tuple& t : stream) truth.Insert(t.x, t.y);
     CorrelatedF2Sketch merged(patched, factory);
@@ -179,7 +166,7 @@ TEST(MergeEquivalenceTest, NeverSplitSummaryMergesIntoSplitSummary) {
   AmsF2SketchFactory factory(AmsDimsFor(opts.eps, 1e-4, 4), /*seed=*/45);
   CorrelatedSketchOptions patched = opts;
   patched.conditions = AggregateConditions::ForFk(2.0);
-  const auto big = MakeStream(40000, 500, opts.y_max, 11);
+  const auto big = SkewedStream(40000, 500, opts.y_max, 11);
   const std::vector<Tuple> tiny = {{1001, 3}, {1002, 4000}, {1003, 12000}};
   ExactCorrelatedAggregate truth(AggregateKind::kF2);
   for (const Tuple& t : big) truth.Insert(t.x, t.y);
@@ -219,7 +206,7 @@ TEST(MergeEquivalenceTest, ExactBucketFrameworkMergeWithinEps) {
   // (discarded buckets and straddling spans) from sketch noise.
   auto opts = FrameworkOptions();
   opts.f_max_hint = 1e7;
-  const auto stream = MakeStream(30000, 400, opts.y_max, 13);
+  const auto stream = SkewedStream(30000, 400, opts.y_max, 13);
   ExactCorrelatedAggregate truth(AggregateKind::kF2);
   for (const Tuple& t : stream) truth.Insert(t.x, t.y);
   auto merged = MakeCorrelatedExact(opts, AggregateKind::kF2);
@@ -249,7 +236,7 @@ TEST(MergeEquivalenceTest, F0MergeBitForBitWhenNoBudgetOverflow) {
   opts.delta = 0.2;
   opts.x_domain = 4095;
   const uint64_t y_max = (uint64_t{1} << 12) - 1;
-  const auto stream = MakeStream(20000, 300, y_max, 17);
+  const auto stream = SkewedStream(20000, 300, y_max, 17);
   CorrelatedF0Sketch whole(opts, 44);
   CorrelatedF0Sketch merged(opts, 44);
   for (const Tuple& t : stream) whole.Insert(t.x, t.y);
@@ -272,7 +259,7 @@ TEST(MergeEquivalenceTest, F0MergeWithEvictionsWithinEps) {
   const uint64_t y_max = (uint64_t{1} << 12) - 1;
   EXPECT_TRUE(TrialsWithin(6, 0.34, [&](int trial) {
     const uint64_t seed = 300 + static_cast<uint64_t>(trial);
-    const auto stream = MakeStream(30000, 20000, y_max, seed);
+    const auto stream = SkewedStream(30000, 20000, y_max, seed);
     F0Oracle oracle;
     for (const Tuple& t : stream) oracle.Insert(t.x, t.y);
     CorrelatedF0Sketch merged(opts, seed);
@@ -295,7 +282,7 @@ TEST(MergeEquivalenceTest, RarityMergeBitForBitWhenNoBudgetOverflow) {
   opts.delta = 0.25;
   opts.x_domain = 2047;
   const uint64_t y_max = (uint64_t{1} << 11) - 1;
-  const auto stream = MakeStream(12000, 250, y_max, 19);
+  const auto stream = SkewedStream(12000, 250, y_max, 19);
   CorrelatedRaritySketch whole(opts, 45);
   CorrelatedRaritySketch merged(opts, 45);
   for (const Tuple& t : stream) whole.Insert(t.x, t.y);
@@ -313,7 +300,7 @@ TEST(MergeEquivalenceTest, HeavyHittersMergeRecoversOracleHitters) {
   auto opts = FrameworkOptions();
   opts.f_max_hint = 1e8;
   const uint64_t seed = 46;
-  const auto stream = MakeStream(20000, 500, opts.y_max, 12);
+  const auto stream = SkewedStream(20000, 500, opts.y_max, 12);
   test::HeavyHittersOracle oracle;
   for (const Tuple& t : stream) oracle.Insert(t.x, t.y);
 

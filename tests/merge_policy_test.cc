@@ -43,6 +43,7 @@ using test::F0Oracle;
 using test::TestRng;
 using test::TreeOrderFold;
 using test::TrialsWithin;
+using test::UniformStream;
 
 // All F2 sketches in this suite share one sketch seed (equal hash
 // families), so any subset is mergeable; streams vary per snapshot.
@@ -57,18 +58,6 @@ CorrelatedSketchOptions F2Options() {
   return opts;
 }
 
-std::vector<Tuple> MakeStream(size_t n, uint64_t x_domain, uint64_t y_max,
-                              uint64_t seed) {
-  Xoshiro256 rng = TestRng(seed);
-  std::vector<Tuple> stream;
-  stream.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    stream.push_back(
-        Tuple{rng.NextBounded(x_domain), rng.NextBounded(y_max + 1)});
-  }
-  return stream;
-}
-
 /// \brief S small F2 snapshots over independent streams, each wrapped the
 /// way the driver publishes them.
 std::vector<std::shared_ptr<const CorrelatedF2Sketch>> MakeSnapshots(
@@ -78,7 +67,7 @@ std::vector<std::shared_ptr<const CorrelatedF2Sketch>> MakeSnapshots(
   for (size_t s = 0; s < count; ++s) {
     CorrelatedF2Sketch sketch = MakeCorrelatedF2(opts, kSketchSeed);
     for (const Tuple& t :
-         MakeStream(40, 300, opts.y_max, stream_seed * 1000 + s)) {
+         UniformStream(40, 300, opts.y_max, stream_seed * 1000 + s)) {
       sketch.Insert(t.x, t.y);
     }
     snaps.push_back(
@@ -279,7 +268,7 @@ TEST(MergeTreeTest, TreeAnswersWithinExactBandForAllKinds) {
       const uint64_t seed = 500 + static_cast<uint64_t>(trial);
       // Domain ~ stream length: real singleton mass, so the rarity case
       // compares nontrivial fractions rather than 0 == 0.
-      const auto stream = MakeStream(5000, 4000, kYMax, seed);
+      const auto stream = UniformStream(5000, 4000, kYMax, seed);
 
       // Partition the stream across slots by x (any fixed split works; the
       // split just has to be consistent with the truth being whole-stream).

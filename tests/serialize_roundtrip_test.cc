@@ -22,21 +22,8 @@
 namespace castream {
 namespace {
 
+using test::SkewedStream;
 using test::TestRng;
-
-std::vector<Tuple> MakeStream(size_t n, uint64_t x_domain, uint64_t y_max,
-                              uint64_t seed) {
-  Xoshiro256 rng = TestRng(seed);
-  std::vector<Tuple> stream;
-  stream.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    const uint64_t x = (rng.NextBounded(4) == 0)
-                           ? rng.NextBounded(8)
-                           : 100 + rng.NextBounded(x_domain);
-    stream.push_back(Tuple{x, rng.NextBounded(y_max + 1)});
-  }
-  return stream;
-}
 
 std::vector<uint64_t> CutoffLadder(uint64_t y_max, uint64_t seed) {
   std::vector<uint64_t> cutoffs{0, 1, y_max};
@@ -89,7 +76,7 @@ TEST(SerializeRoundtripTest, F2QueryIdenticalAfterRoundTrip) {
   const auto opts = FrameworkOptions();
   AmsF2SketchFactory factory(AmsDimsFor(opts.eps, 1e-4, 4), /*seed=*/42);
   CorrelatedF2Sketch sketch(opts, factory);
-  const auto stream = MakeStream(30000, 600, opts.y_max, 7);
+  const auto stream = SkewedStream(30000, 600, opts.y_max, 7);
   sketch.InsertBatch(stream);
 
   const CorrelatedF2Sketch back = RoundTrip(sketch);
@@ -122,7 +109,7 @@ TEST(SerializeRoundtripTest, F2ContinuedIngestAfterRoundTripIsIdentical) {
   const auto opts = FrameworkOptions();
   AmsF2SketchFactory factory(AmsDimsFor(opts.eps, 1e-4, 4), /*seed=*/44);
   CorrelatedF2Sketch original(opts, factory);
-  const auto stream = MakeStream(20000, 500, opts.y_max, 8);
+  const auto stream = SkewedStream(20000, 500, opts.y_max, 8);
   const size_t half = stream.size() / 2;
   original.InsertBatch(std::span<const Tuple>(stream.data(), half));
 
@@ -139,8 +126,8 @@ TEST(SerializeRoundtripTest, F2ContinuedIngestAfterRoundTripIsIdentical) {
 TEST(SerializeRoundtripTest, F2DeserializedPeerMergesLikeTheOriginal) {
   const auto opts = FrameworkOptions();
   AmsF2SketchFactory factory(AmsDimsFor(opts.eps, 1e-4, 4), /*seed=*/45);
-  const auto stream_a = MakeStream(15000, 500, opts.y_max, 9);
-  const auto stream_b = MakeStream(15000, 500, opts.y_max, 10);
+  const auto stream_a = SkewedStream(15000, 500, opts.y_max, 9);
+  const auto stream_b = SkewedStream(15000, 500, opts.y_max, 10);
 
   CorrelatedF2Sketch a(opts, factory);
   a.InsertBatch(stream_a);
@@ -181,7 +168,7 @@ TEST(SerializeRoundtripTest, F0QueryIdenticalAfterRoundTrip) {
   opts.x_domain = 4095;
   const uint64_t y_max = (uint64_t{1} << 12) - 1;
   CorrelatedF0Sketch sketch(opts, /*seed=*/48);
-  const auto stream = MakeStream(20000, 3000, y_max, 11);
+  const auto stream = SkewedStream(20000, 3000, y_max, 11);
   sketch.InsertBatch(stream);
 
   const CorrelatedF0Sketch back = RoundTrip(sketch);
@@ -199,8 +186,8 @@ TEST(SerializeRoundtripTest, F0DeserializedPeerMergesLikeTheOriginal) {
   opts.delta = 0.25;
   opts.x_domain = 2047;
   const uint64_t y_max = (uint64_t{1} << 11) - 1;
-  const auto stream_a = MakeStream(8000, 1500, y_max, 12);
-  const auto stream_b = MakeStream(8000, 1500, y_max, 13);
+  const auto stream_a = SkewedStream(8000, 1500, y_max, 12);
+  const auto stream_b = SkewedStream(8000, 1500, y_max, 13);
 
   CorrelatedF0Sketch a(opts, /*seed=*/50);
   a.InsertBatch(stream_a);
@@ -230,7 +217,7 @@ TEST(SerializeRoundtripTest, RarityQueryIdenticalAfterRoundTrip) {
   opts.x_domain = 2047;
   const uint64_t y_max = (uint64_t{1} << 11) - 1;
   CorrelatedRaritySketch sketch(opts, /*seed=*/52);
-  const auto stream = MakeStream(12000, 1500, y_max, 14);
+  const auto stream = SkewedStream(12000, 1500, y_max, 14);
   sketch.InsertBatch(stream);
 
   const CorrelatedRaritySketch back = RoundTrip(sketch);
@@ -249,7 +236,7 @@ TEST(SerializeRoundtripTest, HeavyHittersQueryIdenticalAfterRoundTrip) {
   auto opts = FrameworkOptions();
   opts.f_max_hint = 1e8;
   CorrelatedF2HeavyHitters sketch(opts, 0.05, /*seed=*/53);
-  const auto stream = MakeStream(20000, 500, opts.y_max, 15);
+  const auto stream = SkewedStream(20000, 500, opts.y_max, 15);
   sketch.InsertBatch(stream);
 
   const CorrelatedF2HeavyHitters back = RoundTrip(sketch);
@@ -280,8 +267,8 @@ TEST(SerializeRoundtripTest, HeavyHittersQueryIdenticalAfterRoundTrip) {
 TEST(SerializeRoundtripTest, HeavyHittersDeserializedPeerMerges) {
   auto opts = FrameworkOptions();
   opts.f_max_hint = 1e8;
-  const auto stream_a = MakeStream(10000, 500, opts.y_max, 16);
-  const auto stream_b = MakeStream(10000, 500, opts.y_max, 17);
+  const auto stream_a = SkewedStream(10000, 500, opts.y_max, 16);
+  const auto stream_b = SkewedStream(10000, 500, opts.y_max, 17);
   CorrelatedF2HeavyHitters a(opts, 0.05, /*seed=*/54);
   a.InsertBatch(stream_a);
   CorrelatedF2HeavyHitters b(opts, 0.05, /*seed=*/54);

@@ -26,19 +26,7 @@
 namespace castream {
 namespace {
 
-using test::TestRng;
-
-std::vector<Tuple> MakeStream(size_t n, uint64_t x_domain, uint64_t y_max,
-                              uint64_t seed) {
-  Xoshiro256 rng = TestRng(seed);
-  std::vector<Tuple> stream;
-  stream.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    stream.push_back(
-        Tuple{rng.NextBounded(x_domain), rng.NextBounded(y_max + 1)});
-  }
-  return stream;
-}
+using test::UniformStream;
 
 // Runs `writers` threads, each pushing its interleaved slice of the stream
 // through its own Writer handle, then waits for full quiescence.
@@ -69,7 +57,7 @@ TEST(ShardedConcurrencyTest, MultiWriterF0MatchesSingleThreadedReference) {
   opts.delta = 0.2;
   opts.x_domain = 4095;
   const uint64_t y_max = (uint64_t{1} << 12) - 1;
-  const auto stream = MakeStream(40000, 300, y_max, 21);
+  const auto stream = UniformStream(40000, 300, y_max, 21);
 
   CorrelatedF0Sketch reference(opts, 50);
   for (const Tuple& t : stream) reference.Insert(t.x, t.y);
@@ -109,7 +97,7 @@ TEST(ShardedConcurrencyTest, MultiWriterF2StressStaysAccurate) {
   opts.f_max_hint = 1e9;
   opts.conditions = AggregateConditions::ForFk(2.0);
   AmsF2SketchFactory factory(AmsDimsFor(opts.eps, 1e-4, 4), /*seed=*/51);
-  const auto stream = MakeStream(40000, 600, opts.y_max, 23);
+  const auto stream = UniformStream(40000, 600, opts.y_max, 23);
 
   ExactCorrelatedAggregate truth(AggregateKind::kF2);
   for (const Tuple& t : stream) truth.Insert(t.x, t.y);
@@ -139,7 +127,7 @@ TEST(ShardedConcurrencyTest, ConcurrentWritersDuringMerges) {
   opts.delta = 0.25;
   opts.x_domain = 8191;
   const uint64_t y_max = (uint64_t{1} << 12) - 1;
-  const auto stream = MakeStream(30000, 5000, y_max, 29);
+  const auto stream = UniformStream(30000, 5000, y_max, 29);
 
   ShardedDriverOptions dopts;
   dopts.shards = 3;
@@ -177,7 +165,7 @@ TEST(ShardedConcurrencyTest, DestructorDrainsDefaultWriterBacklog) {
   opts.delta = 0.25;
   opts.x_domain = 1023;
   const uint64_t y_max = 255;
-  const auto stream = MakeStream(10000, 800, y_max, 31);
+  const auto stream = UniformStream(10000, 800, y_max, 31);
   ShardedDriverOptions dopts;
   dopts.shards = 4;
   dopts.batch_size = 16;

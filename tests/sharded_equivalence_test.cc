@@ -28,22 +28,9 @@
 namespace castream {
 namespace {
 
+using test::SkewedStream;
 using test::TestRng;
 using test::TreeOrderFold;
-
-std::vector<Tuple> MakeStream(size_t n, uint64_t x_domain, uint64_t y_max,
-                              uint64_t seed) {
-  Xoshiro256 rng = TestRng(seed);
-  std::vector<Tuple> stream;
-  stream.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    const uint64_t x = (rng.NextBounded(4) == 0)
-                           ? rng.NextBounded(8)
-                           : 100 + rng.NextBounded(x_domain);
-    stream.push_back(Tuple{x, rng.NextBounded(y_max + 1)});
-  }
-  return stream;
-}
 
 std::vector<uint64_t> CutoffLadder(uint64_t y_max, uint64_t seed) {
   std::vector<uint64_t> cutoffs{0, 1, y_max};
@@ -122,7 +109,7 @@ TEST(ShardedEquivalenceTest, F2DriverMatchesMergeOracle) {
   CorrelatedSketchOptions patched = opts;
   patched.conditions = AggregateConditions::ForFk(2.0);
   auto make = [&] { return CorrelatedF2Sketch(patched, factory); };
-  const auto stream = MakeStream(30000, 600, opts.y_max, 7);
+  const auto stream = SkewedStream(30000, 600, opts.y_max, 7);
 
   ShardedDriverOptions dopts;
   dopts.shards = 4;
@@ -144,7 +131,7 @@ TEST(ShardedEquivalenceTest, SingleShardDriverMatchesUnshardedSummary) {
   CorrelatedSketchOptions patched = opts;
   patched.conditions = AggregateConditions::ForFk(2.0);
   auto make = [&] { return CorrelatedF2Sketch(patched, factory); };
-  const auto stream = MakeStream(20000, 500, opts.y_max, 8);
+  const auto stream = SkewedStream(20000, 500, opts.y_max, 8);
 
   CorrelatedF2Sketch unsharded = make();
   for (const Tuple& t : stream) unsharded.Insert(t.x, t.y);
@@ -165,7 +152,7 @@ TEST(ShardedEquivalenceTest, F0DriverMatchesMergeOracle) {
   opts.x_domain = 4095;
   const uint64_t y_max = (uint64_t{1} << 12) - 1;
   auto make = [&] { return CorrelatedF0Sketch(opts, 44); };
-  const auto stream = MakeStream(20000, 3000, y_max, 10);
+  const auto stream = SkewedStream(20000, 3000, y_max, 10);
 
   ShardedDriverOptions dopts;
   dopts.shards = 4;
@@ -187,7 +174,7 @@ TEST(ShardedEquivalenceTest, RarityDriverMatchesMergeOracle) {
   opts.x_domain = 2047;
   const uint64_t y_max = (uint64_t{1} << 11) - 1;
   auto make = [&] { return CorrelatedRaritySketch(opts, 45); };
-  const auto stream = MakeStream(12000, 1500, y_max, 11);
+  const auto stream = SkewedStream(12000, 1500, y_max, 11);
 
   ShardedDriverOptions dopts;
   dopts.shards = 3;
@@ -205,7 +192,7 @@ TEST(ShardedEquivalenceTest, HeavyHittersDriverMatchesMergeOracle) {
   auto opts = FrameworkOptions();
   opts.f_max_hint = 1e8;
   auto make = [&] { return CorrelatedF2HeavyHitters(opts, 0.05, 46); };
-  const auto stream = MakeStream(20000, 500, opts.y_max, 12);
+  const auto stream = SkewedStream(20000, 500, opts.y_max, 12);
 
   ShardedDriverOptions dopts;
   dopts.shards = 4;
@@ -245,7 +232,7 @@ void ChhDriverMatchesMergeOracle(uint64_t stream_seed) {
   opts.y_capacity_override = 8;
   auto make = [&] { return Chh(opts); };
   const uint64_t y_max = 1023;
-  const auto stream = MakeStream(20000, 50000, y_max, stream_seed);
+  const auto stream = SkewedStream(20000, 50000, y_max, stream_seed);
 
   ShardedDriverOptions dopts;
   dopts.shards = 4;
@@ -297,7 +284,7 @@ TEST(ShardedEquivalenceTest, RepeatedMergesAndContinuedIngest) {
   CorrelatedSketchOptions patched = opts;
   patched.conditions = AggregateConditions::ForFk(2.0);
   auto make = [&] { return CorrelatedF2Sketch(patched, factory); };
-  const auto stream = MakeStream(20000, 500, opts.y_max, 13);
+  const auto stream = SkewedStream(20000, 500, opts.y_max, 13);
 
   ShardedDriverOptions dopts;
   dopts.shards = 2;

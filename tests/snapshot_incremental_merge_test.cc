@@ -25,7 +25,7 @@
 namespace castream {
 namespace {
 
-using test::TestRng;
+using test::UniformStream;
 
 CorrelatedSketchOptions F2Options() {
   CorrelatedSketchOptions opts;
@@ -35,18 +35,6 @@ CorrelatedSketchOptions F2Options() {
   opts.f_max_hint = 1e9;
   opts.conditions = AggregateConditions::ForFk(2.0);
   return opts;
-}
-
-std::vector<Tuple> MakeStream(size_t n, uint64_t x_domain, uint64_t y_max,
-                              uint64_t seed) {
-  Xoshiro256 rng = TestRng(seed);
-  std::vector<Tuple> stream;
-  stream.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    stream.push_back(
-        Tuple{rng.NextBounded(x_domain), rng.NextBounded(y_max + 1)});
-  }
-  return stream;
 }
 
 std::vector<uint64_t> CutoffLadder(uint64_t y_max) {
@@ -91,7 +79,7 @@ TEST(SnapshotIncrementalMergeTest, ReusedEqualsRebuiltFromScratch) {
   ShardedDriver<CorrelatedF2Sketch> driver(
       dopts, [&] { return CorrelatedF2Sketch(opts, factory); });
 
-  const auto stream = MakeStream(24000, 800, opts.y_max, 5);
+  const auto stream = UniformStream(24000, 800, opts.y_max, 5);
   const size_t chunk = stream.size() / 3;
   for (int round = 0; round < 3; ++round) {
     driver.InsertBatch(std::span<const Tuple>(
@@ -114,7 +102,7 @@ TEST(SnapshotIncrementalMergeTest, BackToBackBlockingQueryPerformsZeroMerges) {
   dopts.batch_size = 128;
   ShardedDriver<CorrelatedF2Sketch> driver(
       dopts, [&] { return CorrelatedF2Sketch(opts, factory); });
-  driver.InsertBatch(MakeStream(12000, 600, opts.y_max, 6));
+  driver.InsertBatch(UniformStream(12000, 600, opts.y_max, 6));
 
   const auto first = driver.Query(opts.y_max / 2);
   ASSERT_TRUE(first.ok());
@@ -133,7 +121,7 @@ TEST(SnapshotIncrementalMergeTest, BackToBackBlockingQueryPerformsZeroMerges) {
   EXPECT_EQ(driver.shard_merges_performed(), merges_after_first);
 
   // New data re-merges; going quiescent again re-caches.
-  driver.InsertBatch(MakeStream(4000, 600, opts.y_max, 7));
+  driver.InsertBatch(UniformStream(4000, 600, opts.y_max, 7));
   ASSERT_TRUE(driver.Query(opts.y_max / 2).ok());
   const uint64_t merges_after_ingest = driver.shard_merges_performed();
   EXPECT_GT(merges_after_ingest, merges_after_first);
@@ -152,7 +140,7 @@ TEST(SnapshotIncrementalMergeTest, TreeSingleShardChurnRemergesRootPathOnly) {
   dopts.batch_size = 64;
   ShardedDriver<CorrelatedF2Sketch> driver(
       dopts, [&] { return CorrelatedF2Sketch(opts, factory); });
-  driver.InsertBatch(MakeStream(8000, 500, opts.y_max, 10));
+  driver.InsertBatch(UniformStream(8000, 500, opts.y_max, 10));
   ASSERT_TRUE(driver.Query(opts.y_max).ok());
   // Full build over 4 populated leaves: 2 inner nodes + the root.
   EXPECT_EQ(driver.shard_merges_performed(), 3u);
@@ -177,7 +165,7 @@ TEST(SnapshotIncrementalMergeTest, SingleShardReuseEqualsRebuild) {
   dopts.batch_size = 64;
   ShardedDriver<CorrelatedF2Sketch> driver(
       dopts, [&] { return CorrelatedF2Sketch(opts, factory); });
-  driver.InsertBatch(MakeStream(6000, 400, opts.y_max, 9));
+  driver.InsertBatch(UniformStream(6000, 400, opts.y_max, 9));
   driver.Flush();
 
   // A single-leaf tree aliases the snapshot — zero merges, ever, also

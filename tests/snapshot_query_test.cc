@@ -34,6 +34,7 @@ namespace castream {
 namespace {
 
 using test::TestRng;
+using test::UniformStream;
 
 constexpr QueryOptions kSnapshot{.mode = QueryMode::kSnapshot};
 
@@ -245,18 +246,6 @@ TEST(SnapshotQueryTest, IdleShardsArePublishedWithoutFlush) {
   EXPECT_EQ(second.value().estimate, 999.0);
 }
 
-std::vector<Tuple> MakeStream(size_t n, uint64_t x_domain, uint64_t y_max,
-                              uint64_t seed) {
-  Xoshiro256 rng = TestRng(seed);
-  std::vector<Tuple> stream;
-  stream.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    stream.push_back(
-        Tuple{rng.NextBounded(x_domain), rng.NextBounded(y_max + 1)});
-  }
-  return stream;
-}
-
 std::vector<uint64_t> CutoffLadder(uint64_t y_max) {
   std::vector<uint64_t> cutoffs{0, 1, y_max / 3, y_max / 2, y_max};
   for (uint64_t c = 2; c < y_max; c *= 2) cutoffs.push_back(c - 1);
@@ -271,7 +260,7 @@ TEST(SnapshotQueryTest, PostFlushSnapshotEqualsBlockingQueryBitForBit) {
   opts.f_max_hint = 1e9;
   opts.conditions = AggregateConditions::ForFk(2.0);
   AmsF2SketchFactory factory(AmsDimsFor(opts.eps, 1e-4, 4), /*seed=*/51);
-  const auto stream = MakeStream(25000, 700, opts.y_max, 21);
+  const auto stream = UniformStream(25000, 700, opts.y_max, 21);
 
   ShardedDriverOptions dopts;
   dopts.shards = 4;
@@ -312,7 +301,7 @@ TEST(SnapshotQueryTest, AnySummaryDriverServesSnapshots) {
   opts.delta = 0.1;
   opts.y_max = (uint64_t{1} << 12) - 1;
   opts.f_max_hint = 1e9;
-  const auto stream = MakeStream(12000, 900, opts.y_max, 33);
+  const auto stream = UniformStream(12000, 900, opts.y_max, 33);
 
   ShardedDriverOptions dopts;
   dopts.shards = 3;

@@ -9,6 +9,8 @@
 //   - HeavyHittersOracle: exact correlated F2 heavy-hitter ground truth.
 //   - ExactFk / RandomMultiset / Concat: exact frequency-moment helpers for
 //     lemma-style property checks.
+//   - UniformStream / SkewedStream: seeded (x, y) tuple streams shared by the
+//     sharded, merge, snapshot and serialization suites.
 //   - TrialsWithin: the (eps, delta) trial runner — asserts that at least
 //     (1 - delta) * trials of a randomized estimator land within tolerance,
 //     which is exactly the guarantee the paper's theorems give.
@@ -32,6 +34,7 @@
 #include "src/common/random.h"
 #include "src/driver/merge_cache.h"  // SummaryDeepCopy only
 #include "src/sketch/exact.h"
+#include "src/stream/types.h"
 
 namespace castream {
 namespace test {
@@ -147,6 +150,37 @@ inline std::vector<uint64_t> Concat(const std::vector<uint64_t>& a,
   std::vector<uint64_t> out = a;
   out.insert(out.end(), b.begin(), b.end());
   return out;
+}
+
+// n tuples with x uniform in [0, x_domain) and y uniform in [0, y_max]; x is
+// drawn before y for every tuple.
+inline std::vector<Tuple> UniformStream(size_t n, uint64_t x_domain,
+                                        uint64_t y_max, uint64_t seed) {
+  Xoshiro256 rng = TestRng(seed);
+  std::vector<Tuple> stream;
+  stream.reserve(n);
+  for (size_t i = 0; i < n; ++i) {
+    stream.push_back(
+        Tuple{rng.NextBounded(x_domain), rng.NextBounded(y_max + 1)});
+  }
+  return stream;
+}
+
+// n tuples with a heavy head: a quarter of the x values come from the eight
+// ids [0, 8), the rest uniformly from [100, 100 + x_domain); y is uniform in
+// [0, y_max].
+inline std::vector<Tuple> SkewedStream(size_t n, uint64_t x_domain,
+                                       uint64_t y_max, uint64_t seed) {
+  Xoshiro256 rng = TestRng(seed);
+  std::vector<Tuple> stream;
+  stream.reserve(n);
+  for (size_t i = 0; i < n; ++i) {
+    const uint64_t x = (rng.NextBounded(4) == 0)
+                           ? rng.NextBounded(8)
+                           : 100 + rng.NextBounded(x_domain);
+    stream.push_back(Tuple{x, rng.NextBounded(y_max + 1)});
+  }
+  return stream;
 }
 
 // The (eps, delta) trial runner. Runs `trial(i)` for i in [0, trials) — each
