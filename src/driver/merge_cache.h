@@ -23,7 +23,8 @@
 //
 // Memory: the tree pins up to S-1 internal nodes (aliased nodes are free)
 // on top of the S snapshots, but a node is not a second copy of its
-// children. Bucket counters are copy-on-write (src/sketch/counter_matrix.h):
+// children. Bucket counters and sparse entries are copy-on-write
+// (src/sketch/counter_matrix.h, src/sketch/cow_vector.h):
 // a node built as a copy of its left child plus a merge of its right one
 // shares every bucket the merge did not touch with the left leaf, and
 // buckets adopted from the right child share that leaf's cells too. Only

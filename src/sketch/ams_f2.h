@@ -19,10 +19,15 @@
 // handful of items, and the sparse mode keeps them at a few entries instead
 // of a full counter matrix (the same technique production sketch libraries
 // use). While sparse, Estimate() is exact.
+//
+// Copies share storage: the counter matrix (CounterMatrix) and the sparse
+// entries (CowVector) are both copy-on-write, so copying a sketch allocates
+// only its per-row sums of squares, and nothing at all while it is sparse.
 #ifndef CASTREAM_SKETCH_AMS_F2_H_
 #define CASTREAM_SKETCH_AMS_F2_H_
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -35,6 +40,7 @@
 #include "src/io/encoder.h"
 #include "src/io/format.h"
 #include "src/sketch/counter_matrix.h"
+#include "src/sketch/cow_vector.h"
 #include "src/sketch/sketch_params.h"
 
 namespace castream {
@@ -143,12 +149,21 @@ class AmsF2Sketch {
     if (!counters_.has_value()) return static_cast<double>(sparse_ss_);
     const uint32_t d = counters_->depth();
     if (d == 1) return static_cast<double>(row_ss_[0]);
-    scratch_.assign(row_ss_.begin(), row_ss_.end());
-    const size_t mid = scratch_.size() / 2;
-    std::nth_element(scratch_.begin(), scratch_.begin() + mid, scratch_.end());
-    if (scratch_.size() % 2 == 1) return static_cast<double>(scratch_[mid]);
-    int64_t lo = *std::max_element(scratch_.begin(), scratch_.begin() + mid);
-    return 0.5 * (static_cast<double>(lo) + static_cast<double>(scratch_[mid]));
+    // The median is selected in a copy of the rows on the stack; only a
+    // depth past AmsDimsFor's default cap needs the heap.
+    std::array<int64_t, 16> local;
+    std::vector<int64_t> wide;
+    int64_t* rows = local.data();
+    if (d > local.size()) {
+      wide.resize(d);
+      rows = wide.data();
+    }
+    std::copy(row_ss_.begin(), row_ss_.end(), rows);
+    const size_t mid = d / 2;
+    std::nth_element(rows, rows + mid, rows + d);
+    if (d % 2 == 1) return static_cast<double>(rows[mid]);
+    int64_t lo = *std::max_element(rows, rows + mid);
+    return 0.5 * (static_cast<double>(lo) + static_cast<double>(rows[mid]));
   }
 
   /// \brief Cheap certain upper bound on Estimate(): the maximum per-row sum
@@ -176,6 +191,14 @@ class AmsF2Sketch {
           "AmsF2Sketch::MergeFrom: sketches from different families");
     }
     if (!other.counters_.has_value()) {
+      count_ += other.count_;
+      if (!counters_.has_value() && sparse_.empty()) {
+        // Replaying into an empty sketch would rebuild the same entries in
+        // the same order, so share them instead (copy on write).
+        sparse_ = other.sparse_;
+        sparse_ss_ = other.sparse_ss_;
+        return Status::OK();
+      }
       // Replaying the other side's exact entries works into either mode; the
       // entries carry their pre-hashed rows, so no re-hashing happens here.
       for (const SparseEntry& e : other.sparse_) {
@@ -185,7 +208,6 @@ class AmsF2Sketch {
           InsertSparse(e.ph.x, &e.ph, e.w);
         }
       }
-      count_ += other.count_;
       return Status::OK();
     }
     count_ += other.count_;
@@ -256,8 +278,9 @@ class AmsF2Sketch {
   [[gnu::noinline]] void InsertSparse(uint64_t x,
                                       const RowHashSet::PreHashed* ph,
                                       int64_t weight) {
+    SparseEntry* entries = sparse_.MutableData();
     for (size_t i = 0; i < sparse_.size(); ++i) {
-      SparseEntry& e = sparse_[i];
+      SparseEntry& e = entries[i];
       if (e.ph.x == x) {
         // (w+d)^2 - w^2 maintains the exact sum of squares incrementally.
         sparse_ss_ += 2 * e.w * weight + weight * weight;
@@ -265,7 +288,7 @@ class AmsF2Sketch {
         if (ph != nullptr && !e.ph.Computed()) e.ph = *ph;
         // Transpose heuristic: hot items drift toward the front, keeping
         // the linear scan short on skewed streams.
-        if (i > 0) std::swap(sparse_[i], sparse_[i - 1]);
+        if (i > 0) std::swap(entries[i], entries[i - 1]);
         return;
       }
     }
@@ -332,7 +355,6 @@ class AmsF2Sketch {
     // InsertDense (ph.depth == 0 routes every row there).
     for (const SparseEntry& e : sparse_) InsertDense(e.ph, e.w);
     sparse_.clear();
-    sparse_.shrink_to_fit();
     sparse_ss_ = 0;
   }
 
@@ -437,10 +459,9 @@ class AmsF2Sketch {
   std::shared_ptr<const RowHashSet> hashes_;
   std::optional<CounterMatrix> counters_;  // nullopt while sparse
   std::vector<int64_t> row_ss_;            // dense mode: per-row sum-squares
-  std::vector<SparseEntry> sparse_;        // sparse mode: exact entries
+  CowVector<SparseEntry> sparse_;          // sparse mode: exact entries
   int64_t sparse_ss_ = 0;                  // sparse mode: exact F2
   int64_t count_ = 0;
-  mutable std::vector<int64_t> scratch_;
 };
 
 inline AmsF2Sketch AmsF2SketchFactory::Create() const {

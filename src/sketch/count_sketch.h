@@ -7,7 +7,8 @@
 // ("sparse mode") until their count exceeds ~width*depth/8 (capped), then
 // materializes the counter matrix. Low-level dyadic buckets close after a
 // handful of items, so sparse mode keeps the thousands of per-bucket
-// sketches small — and exact.
+// sketches small — and exact. As in AmsF2Sketch, copies share both the
+// counter matrix and the sparse entries (copy on write).
 #ifndef CASTREAM_SKETCH_COUNT_SKETCH_H_
 #define CASTREAM_SKETCH_COUNT_SKETCH_H_
 
@@ -23,6 +24,7 @@
 #include "src/io/decoder.h"
 #include "src/io/encoder.h"
 #include "src/sketch/counter_matrix.h"
+#include "src/sketch/cow_vector.h"
 #include "src/sketch/sketch_params.h"
 
 namespace castream {
@@ -147,6 +149,10 @@ class CountSketch {
           "CountSketch::MergeFrom: sketches from different families");
     }
     if (!other.counters_.has_value()) {
+      if (!counters_.has_value() && sparse_.empty()) {
+        sparse_ = other.sparse_;  // share (see AmsF2Sketch::MergeFrom)
+        return Status::OK();
+      }
       // Replay carries the stored pre-hashes, so merging never re-hashes.
       for (const SparseEntry& e : other.sparse_) Insert(e.ph, e.w);
       return Status::OK();
@@ -197,14 +203,15 @@ class CountSketch {
   [[gnu::noinline]] void InsertSparse(uint64_t x,
                                       const RowHashSet::PreHashed* ph,
                                       int64_t weight) {
+    SparseEntry* entries = sparse_.MutableData();
     for (size_t i = 0; i < sparse_.size(); ++i) {
-      SparseEntry& e = sparse_[i];
+      SparseEntry& e = entries[i];
       if (e.ph.x == x) {
         e.w += weight;
         if (ph != nullptr && !e.ph.Computed()) e.ph = *ph;
         // Transpose heuristic: hot items drift toward the front (see
         // AmsF2Sketch::InsertSparse).
-        if (i > 0) std::swap(sparse_[i], sparse_[i - 1]);
+        if (i > 0) std::swap(entries[i], entries[i - 1]);
         return;
       }
     }
@@ -249,7 +256,6 @@ class CountSketch {
     counters_.emplace(hashes_->depth(), hashes_->width());
     for (const SparseEntry& e : sparse_) InsertDense(e.ph, e.w);
     sparse_.clear();
-    sparse_.shrink_to_fit();
   }
 
   // ---- Wire format (see AmsF2Sketch: sparse entries stay sparse, dense
@@ -338,7 +344,7 @@ class CountSketch {
 
   std::shared_ptr<const RowHashSet> hashes_;
   std::optional<CounterMatrix> counters_;  // nullopt while sparse
-  std::vector<SparseEntry> sparse_;
+  CowVector<SparseEntry> sparse_;
   mutable std::vector<double> scratch_;
 };
 

@@ -1,10 +1,12 @@
 // Copy-on-write bucket counters: a copied sketch shares its counter cells
-// until one side writes. These tests pin the two halves of that contract.
+// (CounterMatrix) and, while sparse, its exact entries (CowVector) until one
+// side writes. These tests pin the two halves of that contract.
 //
 //   * Independence: whatever one copy does afterwards — insert, merge,
 //     decode — the other copy's state is bit-for-bit what it would be had
 //     the copy never been taken, in both directions, for every linear
-//     sketch that stores a CounterMatrix (AMS-F2, CountSketch, Count-Min).
+//     sketch that stores a CounterMatrix (AMS-F2, CountSketch, Count-Min),
+//     sparse (10 items) and dense (2000 items) alike.
 //     The reference for "never copied" is an independent sketch fed the
 //     same operations.
 //   * Concurrency: a snapshot read and merged on one thread while the owner
@@ -31,6 +33,7 @@
 #include "src/sketch/count_min.h"
 #include "src/sketch/count_sketch.h"
 #include "src/sketch/counter_matrix.h"
+#include "src/sketch/cow_vector.h"
 #include "src/stream/types.h"
 #include "tests/test_util.h"
 
@@ -91,6 +94,53 @@ TEST(CounterMatrixTest, AddIntoSharedCellsLeavesTheSharerAlone) {
   solo.AddFrom(other);
   EXPECT_EQ(solo.MutableCells(), before);
   EXPECT_EQ(solo.at(1, 2), 55);
+}
+
+// ---- CowVector itself ------------------------------------------------------
+
+TEST(CowVectorTest, CopySharesUntilFirstWrite) {
+  CowVector<int64_t> a;
+  EXPECT_TRUE(a.empty());
+  EXPECT_EQ(a.MutableData(), nullptr);
+  for (int64_t v : {1, 2, 3}) a.push_back(v);
+  CowVector<int64_t> b = a;
+  EXPECT_TRUE(b.SharesStorageWith(a));
+
+  b.MutableData()[1] = 20;
+  EXPECT_FALSE(b.SharesStorageWith(a));
+  EXPECT_EQ(a[1], 2);
+  EXPECT_EQ(b[1], 20);
+  EXPECT_EQ(b.size(), 3u);
+
+  // The sole owner writes in place: no further copy.
+  const int64_t* before = b.MutableData();
+  b.MutableData()[0] = 10;
+  EXPECT_EQ(b.MutableData(), before);
+  EXPECT_EQ(b[0], 10);
+}
+
+TEST(CowVectorTest, AppendAndClearLeaveTheSharerAlone) {
+  CowVector<int64_t> a;
+  a.reserve(8);  // room to append without growing
+  for (int64_t v = 0; v < 4; ++v) a.push_back(v);
+
+  CowVector<int64_t> appended = a;
+  appended.push_back(4);
+  EXPECT_FALSE(appended.SharesStorageWith(a));
+  EXPECT_EQ(a.size(), 4u);
+  EXPECT_EQ(appended.size(), 5u);
+  EXPECT_EQ(appended[4], 4);
+
+  CowVector<int64_t> cleared = a;
+  cleared.clear();
+  EXPECT_TRUE(cleared.empty());
+  EXPECT_EQ(a.size(), 4u);
+
+  // Growth past capacity keeps every element, in order.
+  for (int64_t v = 4; v < 100; ++v) a.push_back(v);
+  ASSERT_EQ(a.size(), 100u);
+  int64_t expected = 0;
+  for (int64_t v : a) EXPECT_EQ(v, expected++);
 }
 
 // ---- Sketch-level independence ---------------------------------------------
