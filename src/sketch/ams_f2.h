@@ -149,8 +149,9 @@ class AmsF2Sketch {
     if (!counters_.has_value()) return static_cast<double>(sparse_ss_);
     const uint32_t d = counters_->depth();
     if (d == 1) return static_cast<double>(row_ss_[0]);
-    // The median is selected in a copy of the rows on the stack; only a
-    // depth past AmsDimsFor's default cap needs the heap.
+    // The median is selected in a copy of the rows: on the stack up to 16
+    // rows (AmsDimsFor caps depth at 8 by default), on the heap for the
+    // deeper sketches only an explicit SketchDims builds.
     std::array<int64_t, 16> local;
     std::vector<int64_t> wide;
     int64_t* rows = local.data();
@@ -191,14 +192,6 @@ class AmsF2Sketch {
           "AmsF2Sketch::MergeFrom: sketches from different families");
     }
     if (!other.counters_.has_value()) {
-      count_ += other.count_;
-      if (!counters_.has_value() && sparse_.empty()) {
-        // Replaying into an empty sketch would rebuild the same entries in
-        // the same order, so share them instead (copy on write).
-        sparse_ = other.sparse_;
-        sparse_ss_ = other.sparse_ss_;
-        return Status::OK();
-      }
       // Replaying the other side's exact entries works into either mode; the
       // entries carry their pre-hashed rows, so no re-hashing happens here.
       for (const SparseEntry& e : other.sparse_) {
@@ -208,6 +201,7 @@ class AmsF2Sketch {
           InsertSparse(e.ph.x, &e.ph, e.w);
         }
       }
+      count_ += other.count_;
       return Status::OK();
     }
     count_ += other.count_;

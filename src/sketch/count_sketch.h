@@ -149,10 +149,6 @@ class CountSketch {
           "CountSketch::MergeFrom: sketches from different families");
     }
     if (!other.counters_.has_value()) {
-      if (!counters_.has_value() && sparse_.empty()) {
-        sparse_ = other.sparse_;  // share (see AmsF2Sketch::MergeFrom)
-        return Status::OK();
-      }
       // Replay carries the stored pre-hashes, so merging never re-hashes.
       for (const SparseEntry& e : other.sparse_) Insert(e.ph, e.w);
       return Status::OK();

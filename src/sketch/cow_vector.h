@@ -1,14 +1,19 @@
 // A growable array of trivially copyable elements with copy-on-write
 // storage: copying shares the elements, and the first write to shared
-// elements takes a private copy. The sparse sketches keep their exact
-// entries in one, so a summary copy (a publish snapshot, a clone, a
-// merge-tree node) shares every sparse bucket's entries the same way
-// CounterMatrix shares the dense buckets' cells, instead of copying them.
+// elements takes a private copy. It is the one refcounted block behind the
+// linear sketches' storage: CounterMatrix keeps a dense bucket's counter
+// cells in one sized once, and the sparse sketches keep their exact entries
+// in one. In the correlated framework a dyadic bucket stops changing once it
+// closes or splits, so a summary copy (a publish snapshot, a clone, a
+// merge-tree node) shares every closed bucket's storage with the summary it
+// was copied from; only buckets that are still written pay for a copy.
 //
-// Thread safety follows CounterMatrix: distinct CowVector objects that share
-// storage may be used on different threads. The uniqueness test is an
-// acquire load and a release is an acq_rel decrement, so every read a
-// now-dropped sharer made happens-before the owner's next in-place write.
+// Thread safety: distinct CowVector objects that share storage may be used
+// on different threads (a snapshot read on one thread while the owner keeps
+// writing on another). The reference count is what makes that sound: the
+// uniqueness test is an acquire load and a release is an acq_rel decrement,
+// so every read a now-dropped sharer made happens-before the owner's next
+// in-place write.
 #ifndef CASTREAM_SKETCH_COW_VECTOR_H_
 #define CASTREAM_SKETCH_COW_VECTOR_H_
 
@@ -18,6 +23,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <new>
 #include <type_traits>
 #include <utility>
@@ -31,6 +37,9 @@ class CowVector {
 
  public:
   CowVector() = default;
+  /// \brief `n` zero-valued elements.
+  explicit CowVector(size_t n)
+      : block_(n == 0 ? nullptr : Allocate(n, n, /*zeroed=*/true)) {}
   CowVector(const CowVector& other) noexcept : block_(other.block_) {
     if (block_ != nullptr) block_->refs.fetch_add(1, std::memory_order_relaxed);
   }
@@ -78,6 +87,26 @@ class CowVector {
     block_ = nullptr;
   }
 
+  /// \brief Element-wise `(*this)[i] += other[i]`; sizes must match
+  /// (checked by the caller). Unshared storage is added in place; shared
+  /// storage is replaced by one fresh block holding the sums, so adding into
+  /// a copy costs no more than an in-place add.
+  void AddFrom(const CowVector& other) {
+    const size_t n = size();
+    if (n == 0) return;
+    const T* b = Data(other.block_);
+    if (Unique()) {
+      T* a = Data(block_);
+      for (size_t i = 0; i < n; ++i) a[i] += b[i];
+      return;
+    }
+    Header* fresh = Allocate(n, n, /*zeroed=*/false);
+    const T* a = Data(block_);
+    T* out = Data(fresh);
+    for (size_t i = 0; i < n; ++i) out[i] = a[i] + b[i];
+    Reset(fresh);
+  }
+
   /// \brief True when another vector shares this one's storage (tests).
   bool SharesStorageWith(const CowVector& other) const {
     return block_ != nullptr && block_ == other.block_;
@@ -85,7 +114,7 @@ class CowVector {
 
  private:
   // One allocation: reference count, size and capacity, padded so the
-  // elements that follow keep malloc's alignment.
+  // elements that follow keep malloc's alignment for vectorized loops.
   struct alignas(16) Header {
     std::atomic<uint32_t> refs;
     uint32_t size;
@@ -98,19 +127,15 @@ class CowVector {
     return reinterpret_cast<const T*>(h + 1);
   }
 
-  bool Unique() const {
-    return block_->refs.load(std::memory_order_acquire) == 1;
-  }
-
-  // Moves the elements into a fresh, unshared block of `capacity` slots.
-  [[gnu::noinline]] void Reallocate(size_t capacity) {
-    void* p = std::malloc(sizeof(Header) + capacity * sizeof(T));
+  static Header* Allocate(size_t capacity, size_t size, bool zeroed) {
+    if (capacity > std::numeric_limits<uint32_t>::max()) {
+      throw std::bad_alloc();
+    }
+    const size_t bytes = sizeof(Header) + capacity * sizeof(T);
+    void* p = zeroed ? std::calloc(1, bytes) : std::malloc(bytes);
     if (p == nullptr) throw std::bad_alloc();
-    const uint32_t n = static_cast<uint32_t>(size());
-    Header* fresh = new (p) Header{1, n, static_cast<uint32_t>(capacity)};
-    if (n > 0) std::memcpy(Data(fresh), Data(block_), n * sizeof(T));
-    Release(block_);
-    block_ = fresh;
+    return new (p) Header{1, static_cast<uint32_t>(size),
+                          static_cast<uint32_t>(capacity)};
   }
 
   static void Release(Header* h) {
@@ -118,6 +143,26 @@ class CowVector {
       h->~Header();
       std::free(h);
     }
+  }
+
+  bool Unique() const {
+    return block_->refs.load(std::memory_order_acquire) == 1;
+  }
+
+  // Moves the elements into a fresh, unshared block of `capacity` slots.
+  // Out of line: the update paths that call MutableData stay small enough
+  // to inline into the ingest loops, and this runs at most once per shared
+  // or full block.
+  [[gnu::noinline]] void Reallocate(size_t capacity) {
+    const size_t n = size();
+    Header* fresh = Allocate(capacity, n, /*zeroed=*/false);
+    if (n > 0) std::memcpy(Data(fresh), Data(block_), n * sizeof(T));
+    Reset(fresh);
+  }
+
+  void Reset(Header* fresh) {
+    Release(block_);
+    block_ = fresh;
   }
 
   Header* block_ = nullptr;

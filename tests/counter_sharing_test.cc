@@ -58,9 +58,9 @@ TEST(CounterMatrixTest, CopySharesUntilFirstWrite) {
   EXPECT_EQ(b.at(1, 1), 8);
 
   // The sole owner writes in place: no further copy.
-  const int64_t* before = b.MutableCells();
+  const int64_t* before = b.cells();
   b.MutableCells()[0] = 3;
-  EXPECT_EQ(b.MutableCells(), before);
+  EXPECT_EQ(b.cells(), before);
   // Logical size regardless of sharing.
   EXPECT_EQ(a.SizeBytes(), 8 * sizeof(int64_t));
 }
@@ -90,9 +90,9 @@ TEST(CounterMatrixTest, AddIntoSharedCellsLeavesTheSharerAlone) {
   // Sharer dropped: the survivor adds in place.
   CounterMatrix solo = a;
   a = CounterMatrix(1, 1);
-  const int64_t* before = solo.MutableCells();
+  const int64_t* before = solo.cells();
   solo.AddFrom(other);
-  EXPECT_EQ(solo.MutableCells(), before);
+  EXPECT_EQ(solo.cells(), before);
   EXPECT_EQ(solo.at(1, 2), 55);
 }
 
@@ -113,9 +113,9 @@ TEST(CowVectorTest, CopySharesUntilFirstWrite) {
   EXPECT_EQ(b.size(), 3u);
 
   // The sole owner writes in place: no further copy.
-  const int64_t* before = b.MutableData();
+  const int64_t* before = b.begin();
   b.MutableData()[0] = 10;
-  EXPECT_EQ(b.MutableData(), before);
+  EXPECT_EQ(b.begin(), before);
   EXPECT_EQ(b[0], 10);
 }
 
@@ -284,8 +284,9 @@ TYPED_TEST(CounterSharingTest, MergesNeverLeakAcrossACopy) {
     EXPECT_EQ(this->State(copy2), before) << distinct;
     EXPECT_EQ(this->State(original), merged) << distinct;
 
-    // Merging into an empty sketch adopts the other side's cells; later
-    // writes on either side stay on that side.
+    // Merging into an empty sketch adopts the other side's cells (dense)
+    // or replays its entries (sparse); later writes on either side stay on
+    // that side.
     auto adopted = this->factory_.Create();
     ASSERT_TRUE(adopted.MergeFrom(copy2).ok());
     EXPECT_EQ(this->State(adopted), before) << distinct;
