@@ -194,7 +194,7 @@ inline void F2HeavyHitterBundleFactory::EncodeSketch(
   f2_.EncodeSketch(enc, bundle.f2_);
   cs_.EncodeSketch(enc, bundle.cs_);
   enc.PutU32(static_cast<uint32_t>(bundle.candidates_.size()));
-  for (uint64_t x : bundle.candidates_) enc.PutU64(x);
+  enc.PutU64Span(bundle.candidates_);
 }
 
 inline Result<F2HeavyHitterBundle> F2HeavyHitterBundleFactory::DecodeSketch(
@@ -209,18 +209,16 @@ inline Result<F2HeavyHitterBundle> F2HeavyHitterBundleFactory::DecodeSketch(
     return Status::InvalidArgument(
         "decode: candidate list exceeds the pruning bound");
   }
-  bundle.candidates_.reserve(n);
-  for (uint32_t i = 0; i < n; ++i) {
-    uint64_t x = 0;
-    CASTREAM_RETURN_NOT_OK(dec.ReadU64(&x));
-    // AddCandidate never stores an item twice, so duplicates prove
-    // corruption (and would be reported twice by Query).
-    if (std::find(bundle.candidates_.begin(), bundle.candidates_.end(), x) !=
-        bundle.candidates_.end()) {
+  std::vector<uint64_t>& candidates = bundle.candidates_;
+  candidates.resize(n);
+  CASTREAM_RETURN_NOT_OK(dec.ReadU64Span(candidates));
+  // AddCandidate never stores an item twice, so duplicates prove
+  // corruption (and would be reported twice by Query).
+  for (auto it = candidates.begin(); it != candidates.end(); ++it) {
+    if (std::find(candidates.begin(), it, *it) != it) {
       return Status::InvalidArgument(
           "decode: duplicate heavy-hitter candidate");
     }
-    bundle.candidates_.push_back(x);
   }
   return bundle;
 }

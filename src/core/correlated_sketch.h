@@ -466,7 +466,7 @@ class CorrelatedSketch {
         factory_.EncodeSketch(enc, node.sketch);
       }
       enc.PutU32(static_cast<uint32_t>(level.free_slots.size()));
-      for (int32_t slot : level.free_slots) enc.PutI32(slot);
+      enc.PutI32Span(level.free_slots);
       enc.PutU32(static_cast<uint32_t>(level.leaves_by_lo.size()));
       for (const LeafRef& ref : level.leaves_by_lo) {
         enc.PutU64(ref.lo);
@@ -1237,16 +1237,15 @@ class CorrelatedSketch {
       return Status::InvalidArgument(
           "decode: free-slot count does not match dead nodes");
     }
+    level.free_slots.resize(n_free);
+    CASTREAM_RETURN_NOT_OK(dec.ReadI32Span(level.free_slots));
     std::vector<char> seen(node_count, 0);
-    for (uint32_t i = 0; i < n_free; ++i) {
-      int32_t slot = 0;
-      CASTREAM_RETURN_NOT_OK(dec.ReadI32(&slot));
+    for (const int32_t slot : level.free_slots) {
       if (slot < 0 || !index_ok(slot) || level.nodes[slot].live ||
           seen[slot]) {
         return Status::InvalidArgument("decode: invalid free-slot entry");
       }
       seen[slot] = 1;
-      level.free_slots.push_back(slot);
     }
     uint32_t n_leaves = 0;
     CASTREAM_RETURN_NOT_OK(dec.ReadCount(&n_leaves, 12));

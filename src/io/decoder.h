@@ -10,12 +10,15 @@
 #ifndef CASTREAM_IO_DECODER_H_
 #define CASTREAM_IO_DECODER_H_
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <span>
 #include <string>
 
 #include "src/common/status.h"
+#include "src/io/little_endian.h"
 
 namespace castream::io {
 
@@ -34,27 +37,11 @@ class Decoder {
   }
 
   [[nodiscard]] Status ReadU32(uint32_t* v) {
-    if (remaining() < 4) return Truncated("u32");
-    uint32_t out = 0;
-    for (int i = 0; i < 4; ++i) {
-      out |= static_cast<uint32_t>(static_cast<uint8_t>(bytes_[pos_ + i]))
-             << (8 * i);
-    }
-    pos_ += 4;
-    *v = out;
-    return Status::OK();
+    return Read(std::span<uint32_t>(v, 1), "u32");
   }
 
   [[nodiscard]] Status ReadU64(uint64_t* v) {
-    if (remaining() < 8) return Truncated("u64");
-    uint64_t out = 0;
-    for (int i = 0; i < 8; ++i) {
-      out |= static_cast<uint64_t>(static_cast<uint8_t>(bytes_[pos_ + i]))
-             << (8 * i);
-    }
-    pos_ += 8;
-    *v = out;
-    return Status::OK();
+    return Read(std::span<uint64_t>(v, 1), "u64");
   }
 
   [[nodiscard]] Status ReadI64(int64_t* v) {
@@ -69,6 +56,19 @@ class Decoder {
     CASTREAM_RETURN_NOT_OK(ReadU32(&u));
     *v = static_cast<int32_t>(u);
     return Status::OK();
+  }
+
+  /// \brief Fills `out` with the next out.size() values (the encoder's
+  /// PutI64Span etc.), after one bounds check for the whole run. On failure
+  /// nothing is consumed.
+  [[nodiscard]] Status ReadI64Span(std::span<int64_t> out) {
+    return Read(out, "i64 span");
+  }
+  [[nodiscard]] Status ReadU64Span(std::span<uint64_t> out) {
+    return Read(out, "u64 span");
+  }
+  [[nodiscard]] Status ReadI32Span(std::span<int32_t> out) {
+    return Read(out, "i32 span");
   }
 
   /// \brief Reads a u32 element count and caps it by the bytes remaining:
@@ -105,6 +105,24 @@ class Decoder {
   }
 
  private:
+  // Loads go through memcpy (or the byte loop), never a pointer cast: the
+  // bytes sit at any offset of the blob, so they may be unaligned.
+  template <detail::WireInt T>
+  [[nodiscard]] Status Read(std::span<T> out, const char* what) {
+    if (remaining() / sizeof(T) < out.size()) return Truncated(what);
+    const std::byte* src = bytes_.data() + pos_;
+    if constexpr (std::endian::native == std::endian::little) {
+      if (!out.empty()) std::memcpy(out.data(), src, out.size_bytes());
+    } else {
+      for (T& x : out) {
+        x = detail::LoadLE<T>(src);
+        src += sizeof(T);
+      }
+    }
+    pos_ += out.size_bytes();
+    return Status::OK();
+  }
+
   static Status Truncated(const char* what) {
     return Status::InvalidArgument(
         std::string("decode: payload truncated while reading ") + what);

@@ -51,13 +51,15 @@ Status DecodeFrameHeader(std::span<const std::byte> bytes,
 Status WriteFrame(Socket& socket, FrameHeader header,
                   std::string_view payload) {
   header.payload_bytes = payload.size();
-  std::string wire;
-  wire.reserve(kFrameHeaderBytes + payload.size());
-  EncodeFrameHeader(header, &wire);
-  // One buffer, one send path: header and payload can't be torn by an
-  // error between two writes.
-  wire.append(payload.data(), payload.size());
-  return WriteFull(socket, io::BytesOf(wire));
+  std::string head;
+  EncodeFrameHeader(header, &head);
+  // One send path: header and payload leave through the same gathering
+  // send, so they can't be torn by an error between two writes, and the
+  // payload (megabytes for a dense shard blob) is never copied.
+  return WriteFull(socket, io::BytesOf(head),
+                   std::span<const std::byte>(
+                       reinterpret_cast<const std::byte*>(payload.data()),
+                       payload.size()));
 }
 
 Result<std::optional<Frame>> ReadFrame(Socket& socket) {

@@ -6,8 +6,10 @@
 #include <poll.h>
 #include <sys/socket.h>
 #include <sys/time.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 
@@ -83,18 +85,38 @@ Result<Socket> TcpConnect(const std::string& host, uint16_t port) {
   return socket;
 }
 
-Status WriteFull(Socket& socket, std::span<const std::byte> bytes) {
-  size_t sent = 0;
-  while (sent < bytes.size()) {
+Status WriteFull(Socket& socket, std::span<const std::byte> bytes,
+                 std::span<const std::byte> more) {
+  struct iovec iov[2];
+  iov[0].iov_base = const_cast<std::byte*>(bytes.data());
+  iov[0].iov_len = bytes.size();
+  iov[1].iov_base = const_cast<std::byte*>(more.data());
+  iov[1].iov_len = more.size();
+  struct msghdr msg;
+  std::memset(&msg, 0, sizeof(msg));
+  msg.msg_iov = iov;
+  msg.msg_iovlen = 2;
+  while (true) {
+    while (msg.msg_iovlen > 0 && msg.msg_iov[0].iov_len == 0) {
+      ++msg.msg_iov;  // this span is done (or was empty)
+      --msg.msg_iovlen;
+    }
+    if (msg.msg_iovlen == 0) break;
     // MSG_NOSIGNAL: a dead peer must surface as EPIPE, not kill the
     // process with SIGPIPE.
-    const ssize_t n = ::send(socket.fd(), bytes.data() + sent,
-                             bytes.size() - sent, MSG_NOSIGNAL);
+    const ssize_t n = ::sendmsg(socket.fd(), &msg, MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EINTR) continue;
-      return Status::Unavailable(Errno("send"));
+      return Status::Unavailable(Errno("sendmsg"));
     }
-    sent += static_cast<size_t>(n);
+    // A short write resumes where it stopped, possibly mid-span.
+    size_t sent = static_cast<size_t>(n);
+    for (struct iovec* v = msg.msg_iov; sent > 0; ++v) {
+      const size_t step = std::min(sent, v->iov_len);
+      v->iov_base = static_cast<char*>(v->iov_base) + step;
+      v->iov_len -= step;
+      sent -= step;
+    }
   }
   return Status::OK();
 }

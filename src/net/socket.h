@@ -74,9 +74,13 @@ class Socket {
 /// (the peer may simply not be up yet); a malformed host -> InvalidArgument.
 Result<Socket> TcpConnect(const std::string& host, uint16_t port);
 
-/// \brief Writes the whole span or fails. A short write (peer gone, signal
-/// storm) is Unavailable — the caller must treat the connection as dead.
-Status WriteFull(Socket& socket, std::span<const std::byte> bytes);
+/// \brief Writes all of `bytes`, then all of `more`, or fails. Both spans
+/// go out through one gathering send per attempt, so a frame's header and
+/// payload need no joined copy. A short write is retried from where it
+/// stopped; a failed send (peer gone) is Unavailable — the caller must treat
+/// the connection as dead.
+Status WriteFull(Socket& socket, std::span<const std::byte> bytes,
+                 std::span<const std::byte> more = {});
 
 /// \brief Reads exactly out.size() bytes or fails. EOF *before the first
 /// byte* returns false (a clean close between frames); EOF or an error

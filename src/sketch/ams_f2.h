@@ -31,6 +31,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "src/common/result.h"
@@ -372,15 +373,10 @@ class AmsF2Sketch {
       return;
     }
     enc.PutU8(1);
-    const uint32_t d = counters_->depth();
-    const uint32_t w = counters_->width();
-    enc.PutU32(d);
-    enc.PutU32(w);
-    for (uint32_t row = 0; row < d; ++row) {
-      for (uint32_t col = 0; col < w; ++col) {
-        enc.PutI64(counters_->at(row, col));
-      }
-    }
+    enc.PutU32(counters_->depth());
+    enc.PutU32(counters_->width());
+    enc.PutI64Span(std::span<const int64_t>(counters_->cells(),
+                                            counters_->CounterCount()));
   }
 
   [[nodiscard]] Status DecodeFrom(io::Decoder& dec) {
@@ -438,11 +434,12 @@ class AmsF2Sketch {
     sparse_.clear();
     sparse_ss_ = 0;
     int64_t* cells = counters_->MutableCells();
+    CASTREAM_RETURN_NOT_OK(
+        dec.ReadI64Span(std::span<int64_t>(cells, cells_count)));
     for (uint32_t row = 0; row < d; ++row) {
       uint64_t ss = 0;  // unsigned: no UB on adversarial counter values
       for (uint32_t col = 0; col < w; ++col) {
-        int64_t& v = *cells++;
-        CASTREAM_RETURN_NOT_OK(dec.ReadI64(&v));
+        const int64_t v = *cells++;
         ss += static_cast<uint64_t>(v) * static_cast<uint64_t>(v);
       }
       row_ss_[row] = static_cast<int64_t>(ss);

@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "src/common/result.h"
@@ -268,15 +269,10 @@ class CountSketch {
       return;
     }
     enc.PutU8(1);
-    const uint32_t d = counters_->depth();
-    const uint32_t w = counters_->width();
-    enc.PutU32(d);
-    enc.PutU32(w);
-    for (uint32_t row = 0; row < d; ++row) {
-      for (uint32_t col = 0; col < w; ++col) {
-        enc.PutI64(counters_->at(row, col));
-      }
-    }
+    enc.PutU32(counters_->depth());
+    enc.PutU32(counters_->width());
+    enc.PutI64Span(std::span<const int64_t>(counters_->cells(),
+                                            counters_->CounterCount()));
   }
 
   [[nodiscard]] Status DecodeFrom(io::Decoder& dec) {
@@ -323,11 +319,8 @@ class CountSketch {
     }
     counters_.emplace(d, w);
     sparse_.clear();
-    int64_t* cells = counters_->MutableCells();
-    for (size_t i = 0; i < cells_count; ++i) {
-      CASTREAM_RETURN_NOT_OK(dec.ReadI64(&cells[i]));
-    }
-    return Status::OK();
+    return dec.ReadI64Span(
+        std::span<int64_t>(counters_->MutableCells(), cells_count));
   }
 
   double MedianOfScratch() const {

@@ -6,7 +6,9 @@
 // job runs this suite, so any out-of-bounds read or UB on these paths
 // fails loudly.
 #include <cstdint>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -91,6 +93,142 @@ TEST(SerializeRobustnessTest, EveryTruncationIsRejectedCleanly) {
           << result.status().ToString();
     }
   }
+}
+
+// Dimensions of a dense counter sketch, and where its cells sit in a blob.
+struct DenseSketchAt {
+  uint32_t depth = 0;
+  uint32_t width = 0;
+  size_t cells = 0;  // offset of the first counter cell
+};
+
+// The family dimensions that open the f2 body (AMS) or the hh body (AMS,
+// then CountSketch): u64 seed, u32 depth, u32 width each, right after the
+// 20-byte envelope header.
+std::vector<std::pair<uint32_t, uint32_t>> FamilyDims(const std::string& blob,
+                                                      int families) {
+  io::Decoder dec(io::BytesOf(blob));
+  std::span<const std::byte> header;
+  EXPECT_TRUE(dec.ReadBytes(20, &header).ok());
+  std::vector<std::pair<uint32_t, uint32_t>> dims;
+  for (int f = 0; f < families; ++f) {
+    uint64_t seed = 0;
+    uint32_t depth = 0, width = 0;
+    EXPECT_TRUE(dec.ReadU64(&seed).ok());
+    EXPECT_TRUE(dec.ReadU32(&depth).ok());
+    EXPECT_TRUE(dec.ReadU32(&width).ok());
+    dims.emplace_back(depth, width);
+  }
+  if (families == 2) {  // hh: the candidate budget follows the families
+    uint32_t max_candidates = 0;
+    EXPECT_TRUE(dec.ReadU32(&max_candidates).ok());
+  }
+  return dims;
+}
+
+// Every dense sketch of the given dimensions in the body: mode byte 1,
+// u32 depth, u32 width, then depth * width i64 cells.
+std::vector<DenseSketchAt> FindDenseSketches(
+    const std::string& blob,
+    const std::vector<std::pair<uint32_t, uint32_t>>& dims) {
+  std::vector<DenseSketchAt> found;
+  const auto u32_at = [&blob](size_t at) {
+    const std::string word = blob.substr(at, 4);
+    uint32_t v = 0;
+    io::Decoder dec(io::BytesOf(word));
+    EXPECT_TRUE(dec.ReadU32(&v).ok());
+    return v;
+  };
+  for (size_t at = 20; at + 9 <= blob.size(); ++at) {
+    if (blob[at] != '\x01') continue;
+    for (const auto& [depth, width] : dims) {
+      const size_t cells = at + 9;
+      if (u32_at(at + 1) != depth || u32_at(at + 5) != width ||
+          cells + size_t{depth} * width * 8 > blob.size()) {
+        continue;
+      }
+      found.push_back(DenseSketchAt{depth, width, cells});
+      at = cells + size_t{depth} * width * 8 - 1;
+      break;
+    }
+  }
+  return found;
+}
+
+// Cuts the blob to n bytes and rewrites the envelope's body length to
+// match, so the cut is found inside the body, not by the envelope check.
+void ExpectTruncationRejected(const std::string& blob, size_t n,
+                              const std::string& what) {
+  ASSERT_LT(n, blob.size());
+  ASSERT_GE(n, 20u);
+  std::string cut(blob.data(), n);
+  std::string length;
+  io::Encoder(&length).PutU64(n - 20);
+  cut.replace(12, 8, length);
+  auto result = AnySummary::Deserialize(io::BytesOf(cut));
+  ASSERT_FALSE(result.ok()) << what << " truncated to " << n;
+  EXPECT_EQ(result.status().code(), Status::Code::kInvalidArgument)
+      << what << " truncated to " << n << ": " << result.status().ToString();
+}
+
+TEST(SerializeRobustnessTest, TruncationInsideDenseRowsIsRejected) {
+  // The counter matrix of a dense sketch is read as one span behind one
+  // bounds check, so cut the blob at every byte of the sketch header and
+  // one whole row, and on both sides of every row boundary, each time with
+  // an envelope that declares the cut length.
+  for (const auto& [kind, families] :
+       {std::pair<std::string, int>{"f2", 1}, {"hh", 2}}) {
+    const std::string blob = BuildBlob(kind);
+    const std::vector<DenseSketchAt> dense =
+        FindDenseSketches(blob, FamilyDims(blob, families));
+    // f2: two dense buckets; hh: at least one bucket's AMS and CountSketch.
+    ASSERT_GE(dense.size(), 2u) << kind << " has too few dense sketches";
+    for (size_t s = 0; s < 2; ++s) {
+      const DenseSketchAt& d = dense[s];
+      const size_t row_bytes = size_t{d.width} * 8;
+      const std::string what = kind + " dense sketch " + std::to_string(s);
+      for (size_t n = d.cells - 9; n <= d.cells + row_bytes; ++n) {
+        ExpectTruncationRejected(blob, n, what);
+      }
+      for (uint32_t row = 1; row <= d.depth; ++row) {
+        const size_t boundary = d.cells + row * row_bytes;
+        ExpectTruncationRejected(blob, boundary - 1, what);
+        if (boundary < blob.size()) {
+          ExpectTruncationRejected(blob, boundary, what);
+        }
+        if (boundary + 1 < blob.size()) {
+          ExpectTruncationRejected(blob, boundary + 1, what);
+        }
+      }
+    }
+  }
+}
+
+TEST(SerializeRobustnessTest, DenseDimensionsBeyondTheBlobAllocateNothing) {
+  // A family (and a dense sketch) declaring 256 x 2^26 counters — 128 GiB
+  // of cells — inside a blob of a few KB. The decoder must reject the
+  // matrix from the bytes remaining before it allocates it; without that
+  // check the allocation itself throws.
+  std::string blob = BuildBlob("f2");
+  const std::vector<DenseSketchAt> dense =
+      FindDenseSketches(blob, FamilyDims(blob, 1));
+  ASSERT_FALSE(dense.empty());
+  const auto put_u32 = [&blob](size_t at, uint32_t v) {
+    std::string word;
+    io::Encoder(&word).PutU32(v);
+    blob.replace(at, 4, word);
+  };
+  const uint32_t depth = 256, width = uint32_t{1} << 26;
+  put_u32(20 + 8, depth);  // the family, after its u64 seed
+  put_u32(20 + 12, width);
+  put_u32(dense[0].cells - 8, depth);  // the first dense sketch
+  put_u32(dense[0].cells - 4, width);
+  auto result = AnySummary::Deserialize(io::BytesOf(blob));
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), Status::Code::kInvalidArgument);
+  EXPECT_NE(result.status().message().find("declared counter matrix"),
+            std::string::npos)
+      << result.status().ToString();
 }
 
 TEST(SerializeRobustnessTest, TrailingGarbageIsRejected) {
