@@ -1,8 +1,9 @@
 // Correlated heavy-hitters shootout: the three CHH summary kinds — the
 // F2-sketch bundle ('hh'), the nested Misra-Gries counters ('chh_mg'), and
 // the Space-Saving-staged fast CHH ('chh_fast') — run on the same shared
-// workloads (bench/workload.h Zipf(1.1) / bursty / uniform streams), and
-// each benchmark records the three axes the panel is chosen on:
+// workloads (src/stream/generators.h Zipf(1.1) / bursty / uniform
+// streams), and each benchmark records the three axes the panel is chosen
+// on:
 //
 //   items_per_second   ingest throughput (columnar batches, offered tuples)
 //   serialized_bytes   wire size of the summary after one full stream pass
@@ -28,8 +29,9 @@
 #include <unordered_set>
 #include <vector>
 
-#include "bench/workload.h"
+#include "bench/bench_util.h"
 #include "src/core/any_summary.h"
+#include "src/stream/generators.h"
 
 namespace {
 
@@ -59,20 +61,26 @@ SummaryOptions ShootoutOptions() {
 }
 
 const std::vector<Tuple>& ZipfStream() {
-  static const auto* s = new std::vector<Tuple>(
-      bench::MakeZipfStream(kStreamLen, kXRange, kAlpha, kYCard, kYRange, 5));
+  static const auto* s = new std::vector<Tuple>(bench::LogWorkload(
+      "zipf", 5,
+      castream::ZipfStream(kStreamLen, kXRange, kAlpha, kYCard,
+                           kYRange / kYCard, 5)));
   return *s;
 }
 
 const std::vector<Tuple>& BurstyStream() {
-  static const auto* s = new std::vector<Tuple>(bench::MakeBurstyStream(
-      kStreamLen, kXRange, kAlpha, kYRange, /*mean_burst=*/8, 6));
+  static const auto* s = new std::vector<Tuple>(bench::LogWorkload(
+      "bursty", 6,
+      castream::BurstyStream(kStreamLen, kXRange, kAlpha, kYRange,
+                             /*y_step=*/1, /*burst_odds=*/1,
+                             /*max_burst=*/15, 6)));
   return *s;
 }
 
 const std::vector<Tuple>& UniformStream() {
-  static const auto* s = new std::vector<Tuple>(
-      bench::MakeUniformStream(kStreamLen, kXRange - 1, kYRange - 1, 7));
+  static const auto* s = new std::vector<Tuple>(bench::LogWorkload(
+      "uniform", 7,
+      castream::UniformStream(kStreamLen, kXRange, kYRange - 1, 7)));
   return *s;
 }
 

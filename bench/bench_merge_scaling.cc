@@ -21,10 +21,11 @@
 #include <span>
 #include <vector>
 
-#include "bench/workload.h"
+#include "bench/bench_util.h"
 #include "src/core/any_summary.h"
 #include "src/core/correlated_fk.h"
 #include "src/driver/merge_cache.h"
+#include "src/stream/generators.h"
 
 namespace {
 
@@ -39,9 +40,9 @@ std::shared_ptr<const CorrelatedF2Sketch> MakeSnapshot(
     const CorrelatedSketchOptions& opts, const AmsF2SketchFactory& factory,
     uint64_t stream_seed) {
   CorrelatedF2Sketch sketch(opts, factory);
-  for (const Tuple& t :
-       bench::MakeUniformStream(kTuplesPerShard, 100000, kYRange,
-                                stream_seed)) {
+  for (const Tuple& t : bench::LogWorkload(
+           "uniform", stream_seed,
+           UniformStream(kTuplesPerShard, 100001, kYRange, stream_seed))) {
     sketch.Insert(t.x, t.y);
   }
   return std::make_shared<const CorrelatedF2Sketch>(std::move(sketch));
@@ -95,8 +96,10 @@ AnySummary MakeShardSummary(uint64_t stream_seed) {
   o.y_max = (uint64_t{1} << 20) - 1;
   o.f_max_hint = 1e12;
   AnySummary s = MakeSummary("f2", o, /*seed=*/41).value();
-  const auto stream = bench::MakeUniformStream(kShardTuples, uint64_t{1} << 24,
-                                               o.y_max + 1, stream_seed);
+  const auto stream = bench::LogWorkload(
+      "uniform", stream_seed,
+      UniformStream(kShardTuples, (uint64_t{1} << 24) + 1, o.y_max + 1,
+                    stream_seed));
   s.InsertBatch(std::span<const Tuple>(stream));
   return s;
 }

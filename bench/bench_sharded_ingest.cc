@@ -10,7 +10,7 @@
 
 #include <vector>
 
-#include "bench/workload.h"
+#include "bench/bench_util.h"
 #include "src/core/correlated_f0.h"
 #include "src/core/correlated_fk.h"
 #include "src/driver/sharded_driver.h"
@@ -27,7 +27,8 @@ CorrelatedSketchOptions F2Opts() { return bench::F2BenchOpts(0.20, kYRange); }
 
 const std::vector<Tuple>& FixedStream() {
   static const auto* stream = new std::vector<Tuple>(
-      bench::MakeUniformStream(kStreamLen, 500000, kYRange, 2));
+      bench::LogWorkload("uniform", 2,
+                         UniformStream(kStreamLen, 500001, kYRange, 2)));
   return *stream;
 }
 

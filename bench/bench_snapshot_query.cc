@@ -26,7 +26,7 @@
 #include <thread>
 #include <vector>
 
-#include "bench/workload.h"
+#include "bench/bench_util.h"
 #include "src/core/correlated_fk.h"
 #include "src/driver/sharded_driver.h"
 #include "src/stream/generators.h"
@@ -43,7 +43,8 @@ CorrelatedSketchOptions F2Opts() { return bench::F2BenchOpts(0.20, kYRange); }
 
 const std::vector<Tuple>& FixedStream() {
   static const auto* stream = new std::vector<Tuple>(
-      bench::MakeUniformStream(kStreamLen, 100000, kYRange, 11));
+      bench::LogWorkload("uniform", 11,
+                         UniformStream(kStreamLen, 100001, kYRange, 11)));
   return *stream;
 }
 

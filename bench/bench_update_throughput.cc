@@ -6,7 +6,7 @@
 // across datasets and practical throughout.
 #include <benchmark/benchmark.h>
 
-#include "bench/workload.h"
+#include "bench/bench_util.h"
 #include "src/core/correlated_f0.h"
 #include "src/core/correlated_fk.h"
 #include "src/core/correlated_heavy_hitters.h"

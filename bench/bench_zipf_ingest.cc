@@ -1,5 +1,6 @@
 // Trace-shaped ingest throughput: the columnar batch pipeline and the
-// hot-key pre-aggregation front end on skewed workloads (bench/workload.h).
+// hot-key pre-aggregation front end on skewed workloads
+// (src/stream/generators.h).
 //
 // The recorded uniform-workload numbers (BM_CorrelatedF2InsertBatched in
 // BENCH_baseline.json) are the worst case for pre-aggregation: no (x, y)
@@ -16,12 +17,13 @@
 #include <span>
 #include <vector>
 
-#include "bench/workload.h"
+#include "bench/bench_util.h"
 #include "src/core/correlated_f0.h"
 #include "src/core/correlated_fk.h"
 #include "src/core/correlated_heavy_hitters.h"
 #include "src/driver/hot_key_buffer.h"
 #include "src/driver/sharded_driver.h"
+#include "src/stream/generators.h"
 
 namespace {
 
@@ -39,21 +41,27 @@ constexpr size_t kBatch = 4096;
 constexpr size_t kCoalesceSlots = 8192;
 
 const std::vector<Tuple>& ZipfStream() {
-  static const auto* s = new std::vector<Tuple>(
-      bench::MakeZipfStream(kStreamLen, kXRange, kAlpha, kYCard, kYRange, 5));
+  static const auto* s = new std::vector<Tuple>(bench::LogWorkload(
+      "zipf", 5,
+      castream::ZipfStream(kStreamLen, kXRange, kAlpha, kYCard,
+                           kYRange / kYCard, 5)));
   return *s;
 }
 
 const std::vector<Tuple>& BurstyStream() {
-  static const auto* s = new std::vector<Tuple>(bench::MakeBurstyStream(
-      kStreamLen, kXRange, kAlpha, kYRange, /*mean_burst=*/8, 6));
+  static const auto* s = new std::vector<Tuple>(bench::LogWorkload(
+      "bursty", 6,
+      castream::BurstyStream(kStreamLen, kXRange, kAlpha, kYRange,
+                             /*y_step=*/1, /*burst_odds=*/1,
+                             /*max_burst=*/15, 6)));
   return *s;
 }
 
 const std::vector<Tuple>& ChurnStream() {
-  static const auto* s = new std::vector<Tuple>(bench::MakeChurnStream(
-      kStreamLen, kXRange, /*working_set=*/4096, /*churn_period=*/1 << 14,
-      kYRange, 7));
+  static const auto* s = new std::vector<Tuple>(bench::LogWorkload(
+      "churn", 7,
+      castream::ChurnStream(kStreamLen, kXRange, /*working_set=*/4096,
+                            /*churn_period=*/1 << 14, kYRange - 1, 7)));
   return *s;
 }
 

@@ -55,7 +55,6 @@
 #include "src/io/format.h"
 #include "src/quantile/gk_quantile.h"
 #include "src/sketch/ams_f2.h"
-#include "src/sketch/count_min.h"
 #include "src/sketch/count_sketch.h"
 #include "src/sketch/exact.h"
 #include "src/sketch/fk_sketch.h"

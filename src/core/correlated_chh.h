@@ -39,7 +39,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <initializer_list>
 #include <map>
 #include <span>
 #include <string>
@@ -93,9 +92,6 @@ class CorrelatedNestedMisraGries {
   /// \brief Batched ingest, exactly equivalent to one-at-a-time Insert in
   /// batch order.
   void InsertBatch(std::span<const Tuple> batch);
-  void InsertBatch(std::initializer_list<Tuple> batch) {
-    InsertBatch(std::span<const Tuple>(batch.begin(), batch.size()));
-  }
   void InsertBatch(std::span<const WeightedTuple> batch);
 
   /// \brief Merges another summary with the same table configuration
@@ -159,9 +155,6 @@ class CorrelatedFastChh {
 
   void Insert(uint64_t x, uint64_t y, int64_t weight = 1);
   void InsertBatch(std::span<const Tuple> batch);
-  void InsertBatch(std::initializer_list<Tuple> batch) {
-    InsertBatch(std::span<const Tuple>(batch.begin(), batch.size()));
-  }
   void InsertBatch(std::span<const WeightedTuple> batch);
 
   /// \brief Merge under the same configuration identity as the nested-MG

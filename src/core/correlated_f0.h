@@ -22,7 +22,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <initializer_list>
 #include <map>
 #include <span>
 #include <string>
@@ -89,9 +88,6 @@ class CorrelatedF0Sketch {
   /// one repetition at a time, keeping that repetition's levels (and the
   /// per-instance hash seed) cache-resident. Callers keep the buffer.
   void InsertBatch(std::span<const Tuple> batch);
-  void InsertBatch(std::initializer_list<Tuple> batch) {
-    InsertBatch(std::span<const Tuple>(batch.begin(), batch.size()));
-  }
 
   /// \brief Weighted batched ingest: each row is `weight` adjacent
   /// occurrences of its (x, y) (see Insert(x, y, count)); rows with

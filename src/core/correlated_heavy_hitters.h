@@ -18,7 +18,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdint>
-#include <initializer_list>
 #include <span>
 #include <utility>
 #include <vector>
@@ -264,9 +263,6 @@ class CorrelatedF2HeavyHitters {
   /// CorrelatedSketch::InsertBatch); each tuple's AMS + CountSketch
   /// randomness is hashed once for all bucket levels.
   void InsertBatch(std::span<const Tuple> batch) {
-    sketch_.InsertBatch(batch);
-  }
-  void InsertBatch(std::initializer_list<Tuple> batch) {
     sketch_.InsertBatch(batch);
   }
 

@@ -47,9 +47,9 @@ class RowHasher {
 class RowHashSet {
  public:
   /// \brief Rows covered by one PreHashed value. The dimension formulas in
-  /// sketch_params.h / count_min.h cap depth at 12, so in practice a
-  /// PreHashed covers every row; deeper hand-built layouts fall back to
-  /// on-demand hashing for the uncovered rows.
+  /// sketch_params.h cap depth at 8 by default, so in practice a PreHashed
+  /// covers every row; deeper hand-built layouts fall back to on-demand
+  /// hashing for the uncovered rows.
   static constexpr uint32_t kMaxPreHashDepth = 12;
 
   /// \brief The per-row randomness of one item, computed once and reused.

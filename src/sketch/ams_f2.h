@@ -79,9 +79,6 @@ class AmsF2SketchFactory {
   RowHashSet::PreHashed Prehash(uint64_t x) const {
     return hashes_->Prehash(x);
   }
-  void Prehash(uint64_t x, RowHashSet::PreHashed& out) const {
-    hashes_->Prehash(x, out);
-  }
 
   uint32_t depth() const { return hashes_->depth(); }
   uint32_t width() const { return hashes_->width(); }

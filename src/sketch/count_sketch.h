@@ -39,18 +39,12 @@ class CountSketchFactory {
   CountSketchFactory(SketchDims dims, uint64_t seed)
       : hashes_(std::make_shared<RowHashSet>(seed, dims.depth, dims.width)) {}
 
-  CountSketchFactory(double eps, double delta, uint64_t seed)
-      : CountSketchFactory(CountSketchDimsFor(eps, delta), seed) {}
-
   CountSketch Create() const;
 
   /// \brief Computes x's per-row randomness once; the result feeds the
   /// Insert(PreHashed) overload of every sketch in this family.
   RowHashSet::PreHashed Prehash(uint64_t x) const {
     return hashes_->Prehash(x);
-  }
-  void Prehash(uint64_t x, RowHashSet::PreHashed& out) const {
-    hashes_->Prehash(x, out);
   }
 
   uint32_t depth() const { return hashes_->depth(); }

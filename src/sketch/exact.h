@@ -104,10 +104,6 @@ class ExactAggregate {
     return it == counts_.end() ? 0 : it->second;
   }
 
-  const std::unordered_map<uint64_t, int64_t>& counts() const {
-    return counts_;
-  }
-
   size_t SizeBytes() const {
     // unordered_map node overhead approximated at 2 pointers per entry.
     return counts_.size() * (sizeof(uint64_t) + sizeof(int64_t) + 16);

@@ -46,10 +46,6 @@ FkSketchFactory::FkSketchFactory(FkSketchOptions options, uint64_t seed) {
   shared_ = std::move(shared);
 }
 
-const FkSketchOptions& FkSketchFactory::options() const {
-  return shared_->options;
-}
-
 FkSketch FkSketchFactory::Create() const { return FkSketch(shared_); }
 
 FkPreHashed FkSketchFactory::Prehash(uint64_t x) const {

@@ -66,7 +66,6 @@ class FkSketchFactory {
   FkSketchFactory(FkSketchOptions options, uint64_t seed);
 
   FkSketch Create() const;
-  const FkSketchOptions& options() const;
 
   /// \brief Computes x's subsample-level assignment once; feeds the
   /// Insert(FkPreHashed) overload of every sketch in this family.

@@ -1,5 +1,10 @@
 // Synthetic workload generators matching the paper's evaluation datasets
-// (Section 5): Uniform, Zipfian(alpha), and an Ethernet-like packet trace.
+// (Section 5): Uniform, Zipfian(alpha), and an Ethernet-like packet trace,
+// plus the vector stream builders that tests and benches share
+// (UniformStream, ZipfStream, SkewedStream, BurstyStream, ChurnStream).
+// Each builder is a pure function of its arguments: the same arguments give
+// the same tuples on every platform, and stream_test pins a fingerprint of
+// each, so a change to a draw order fails loudly.
 //
 // The paper's Ethernet dataset came from LBL packet traces
 // (ita.ee.lbl.gov/html/contrib/BC.html) that are no longer hosted; the
@@ -10,6 +15,7 @@
 #ifndef CASTREAM_STREAM_GENERATORS_H_
 #define CASTREAM_STREAM_GENERATORS_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -109,6 +115,96 @@ class EthernetTraceGenerator : public TupleGenerator {
 /// the x domain to 0..1e6 (Section 5.2 explains why).
 std::vector<std::unique_ptr<TupleGenerator>> MakePaperDatasets(
     bool f0_domains, uint64_t seed);
+
+/// \brief n draws of UniformGenerator(x_domain - 1, y_max, seed): x uniform
+/// over [0, x_domain), y uniform over [0, y_max], x drawn before y.
+inline std::vector<Tuple> UniformStream(size_t n, uint64_t x_domain,
+                                        uint64_t y_max, uint64_t seed) {
+  UniformGenerator gen(x_domain - 1, y_max, seed);
+  std::vector<Tuple> out;
+  out.reserve(n);
+  for (size_t i = 0; i < n; ++i) out.push_back(gen.Next());
+  return out;
+}
+
+/// \brief x ~ Zipf(alpha) over [0, x_domain); y = k * y_step with k uniform
+/// over [0, y_card). The low y cardinality matters: hot keys then repeat
+/// whole (x, y) pairs, which is what the hot-key coalescer feeds on, while
+/// with continuous y no pair ever repeats.
+inline std::vector<Tuple> ZipfStream(size_t n, uint64_t x_domain,
+                                     double alpha, uint64_t y_card,
+                                     uint64_t y_step, uint64_t seed) {
+  ZipfDistribution zipf(x_domain, alpha);
+  Xoshiro256 rng(seed);
+  std::vector<Tuple> out;
+  out.reserve(n);
+  for (size_t i = 0; i < n; ++i) {
+    const uint64_t x = zipf.Sample(rng);
+    out.push_back(Tuple{x, rng.NextBounded(y_card) * y_step});
+  }
+  return out;
+}
+
+/// \brief A heavy head: a quarter of the x values come from the eight ids
+/// [0, 8), the rest uniformly from [100, 100 + x_domain); y uniform over
+/// [0, y_max].
+inline std::vector<Tuple> SkewedStream(size_t n, uint64_t x_domain,
+                                       uint64_t y_max, uint64_t seed) {
+  Xoshiro256 rng(seed);
+  std::vector<Tuple> out;
+  out.reserve(n);
+  for (size_t i = 0; i < n; ++i) {
+    const uint64_t x = (rng.NextBounded(4) == 0)
+                           ? rng.NextBounded(8)
+                           : 100 + rng.NextBounded(x_domain);
+    out.push_back(Tuple{x, rng.NextBounded(y_max + 1)});
+  }
+  return out;
+}
+
+/// \brief Arrival bursts on the ZipfStream shape (trace replay: packet
+/// trains, flaps). Each (x, y) draw is repeated back to back: as a burst of
+/// 1 + U[0, max_burst) copies with odds 1 in `burst_odds` (every draw is a
+/// burst when burst_odds <= 1, and then no draw decides it), else once.
+inline std::vector<Tuple> BurstyStream(size_t n, uint64_t x_domain,
+                                       double alpha, uint64_t y_card,
+                                       uint64_t y_step, uint64_t burst_odds,
+                                       uint64_t max_burst, uint64_t seed) {
+  ZipfDistribution zipf(x_domain, alpha);
+  Xoshiro256 rng(seed);
+  std::vector<Tuple> out;
+  out.reserve(n);
+  while (out.size() < n) {
+    const uint64_t x = zipf.Sample(rng);
+    const Tuple t{x, rng.NextBounded(y_card) * y_step};
+    const bool burst = burst_odds <= 1 || rng.NextBounded(burst_odds) == 0;
+    size_t copies = burst ? 1 + rng.NextBounded(max_burst) : 1;
+    for (; copies > 0 && out.size() < n; --copies) out.push_back(t);
+  }
+  return out;
+}
+
+/// \brief Key churn: x uniform over a working set of `working_set` keys
+/// whose base rotates by working_set / 2 + 1 (mod x_domain) every
+/// `churn_period` >= 1 tuples, so old keys die and new ones are born; y
+/// uniform over [0, y_max].
+inline std::vector<Tuple> ChurnStream(size_t n, uint64_t x_domain,
+                                      uint64_t working_set,
+                                      size_t churn_period, uint64_t y_max,
+                                      uint64_t seed) {
+  Xoshiro256 rng(seed);
+  std::vector<Tuple> out;
+  out.reserve(n);
+  uint64_t base = 0;
+  for (size_t i = 0; i < n; ++i) {
+    if (i > 0 && i % churn_period == 0) {
+      base = (base + working_set / 2 + 1) % x_domain;
+    }
+    const uint64_t x = (base + rng.NextBounded(working_set)) % x_domain;
+    out.push_back(Tuple{x, rng.NextBounded(y_max + 1)});
+  }
+  return out;
+}
 
 }  // namespace castream
 

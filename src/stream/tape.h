@@ -19,10 +19,6 @@ namespace castream {
 /// \brief A re-scannable weighted stream with a pass counter.
 class StoredStream {
  public:
-  StoredStream() = default;
-  explicit StoredStream(std::vector<WeightedTuple> data)
-      : data_(std::move(data)) {}
-
   void Append(WeightedTuple t) { data_.push_back(t); }
   void Append(uint64_t x, uint64_t y, int64_t weight) {
     data_.push_back(WeightedTuple{x, y, weight});

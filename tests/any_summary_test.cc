@@ -13,13 +13,12 @@
 #include "src/core/any_summary.h"
 #include "src/driver/sharded_driver.h"
 #include "src/io/decoder.h"
+#include "src/stream/generators.h"
 #include "src/stream/types.h"
 #include "tests/test_util.h"
 
 namespace castream {
 namespace {
-
-using test::UniformStream;
 
 SummaryOptions SmallOptions() {
   SummaryOptions opts;

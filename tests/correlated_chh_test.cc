@@ -22,8 +22,6 @@
 namespace castream {
 namespace {
 
-using test::TestRng;
-
 CorrelatedChhOptions SmallChh() {
   CorrelatedChhOptions o;
   o.x_capacity_override = 16;
@@ -134,7 +132,7 @@ TYPED_TEST(CorrelatedChhTypedTest, ExactWhenTablesNeverOverflow) {
   // than the y capacity: both algorithms degenerate to exact counting.
   TypeParam s(SmallChh());
   ChhOracle oracle;
-  Xoshiro256 rng = TestRng(101);
+  Xoshiro256 rng(101);
   for (int i = 0; i < 4000; ++i) {
     const uint64_t x = rng.NextBounded(12);
     const uint64_t y = rng.NextBounded(6);
@@ -165,7 +163,7 @@ TYPED_TEST(CorrelatedChhTypedTest, WeightedInsertMatchesRepeatedUnitInserts) {
   // serialized state must agree byte for byte.
   TypeParam weighted(SmallChh());
   TypeParam units(SmallChh());
-  Xoshiro256 rng = TestRng(102);
+  Xoshiro256 rng(102);
   for (int i = 0; i < 300; ++i) {
     const uint64_t x = rng.NextBounded(10);
     const uint64_t y = rng.NextBounded(5);
@@ -186,7 +184,7 @@ TYPED_TEST(CorrelatedChhTypedTest, RecallUnderAdversarialOverflow) {
   // still be reported at every cutoff, per the Misra-Gries guarantee.
   TypeParam s(SmallChh());
   ChhOracle oracle;
-  Xoshiro256 rng = TestRng(103);
+  Xoshiro256 rng(103);
   const uint64_t kHeavy = 7;
   for (int i = 0; i < 20000; ++i) {
     const uint64_t x = 1000 + rng.NextBounded(5000);
@@ -218,7 +216,7 @@ TEST(CorrelatedNestedMisraGriesTest, FoldNeverOvercounts) {
   // and so is the scalar fold on the total below-cutoff mass.
   CorrelatedNestedMisraGries s(SmallChh());
   ChhOracle oracle;
-  Xoshiro256 rng = TestRng(104);
+  Xoshiro256 rng(104);
   for (int i = 0; i < 30000; ++i) {
     // Zipf-ish: small x and y values are much more common.
     const uint64_t x = rng.NextBounded(rng.NextBounded(400) + 1);
@@ -293,7 +291,7 @@ TEST(CorrelatedFastChhTest, IntervalBracketsTheTruth) {
   // certain upper bound; check the scalar side exactly.
   CorrelatedFastChh s(SmallChh());
   ChhOracle oracle;
-  Xoshiro256 rng = TestRng(105);
+  Xoshiro256 rng(105);
   for (int i = 0; i < 30000; ++i) {
     const uint64_t x = rng.NextBounded(rng.NextBounded(400) + 1);
     const uint64_t y = rng.NextBounded(rng.NextBounded(200) + 1);
@@ -350,7 +348,7 @@ TYPED_TEST(CorrelatedChhTypedTest, MergeMatchesSingleStreamExactRegime) {
   TypeParam whole(SmallChh());
   TypeParam left(SmallChh());
   TypeParam right(SmallChh());
-  Xoshiro256 rng = TestRng(106);
+  Xoshiro256 rng(106);
   for (int i = 0; i < 2000; ++i) {
     const uint64_t x = rng.NextBounded(12);
     const uint64_t y = rng.NextBounded(6);
@@ -367,7 +365,7 @@ TYPED_TEST(CorrelatedChhTypedTest, MergeKeepsGuaranteesUnderOverflow) {
   std::vector<TypeParam> shards(4, TypeParam(SmallChh()));
   TypeParam serial(SmallChh());
   ChhOracle oracle;
-  Xoshiro256 rng = TestRng(107);
+  Xoshiro256 rng(107);
   const uint64_t kHeavy = 3;
   for (int i = 0; i < 24000; ++i) {
     uint64_t x = 1000 + rng.NextBounded(3000);
@@ -412,7 +410,7 @@ TYPED_TEST(CorrelatedChhTypedTest, QueryRejectsBadPhi) {
 
 TYPED_TEST(CorrelatedChhTypedTest, SerializedPeerContinuesTheStream) {
   TypeParam s(SmallChh());
-  Xoshiro256 rng = TestRng(108);
+  Xoshiro256 rng(108);
   for (int i = 0; i < 10000; ++i) {
     s.Insert(rng.NextBounded(500), rng.NextBounded(100));
   }

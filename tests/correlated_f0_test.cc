@@ -15,7 +15,6 @@ namespace {
 
 using test::F0Oracle;
 using test::SweepCounter;
-using test::TestRng;
 
 CorrelatedF0Options SmallF0Options() {
   CorrelatedF0Options o;
@@ -37,7 +36,7 @@ TEST(CorrelatedF0Test, ExactWhileLevelZeroFits) {
   auto opts = SmallF0Options();
   CorrelatedF0Sketch sketch(opts, 2);
   F0Oracle oracle;
-  Xoshiro256 rng = TestRng(3);
+  Xoshiro256 rng(3);
   for (int i = 0; i < 150; ++i) {
     uint64_t x = rng.NextBounded(100);
     uint64_t y = rng.NextBounded(1000);
@@ -64,7 +63,7 @@ TEST(CorrelatedF0Test, MinYRetainedAcrossArrivalOrders) {
   CorrelatedF0Sketch forward(opts, 5);
   CorrelatedF0Sketch backward(opts, 5);  // same seed: same hash levels
   std::vector<Tuple> tuples;
-  Xoshiro256 rng = TestRng(6);
+  Xoshiro256 rng(6);
   for (int i = 0; i < 5000; ++i) {
     tuples.push_back(Tuple{rng.NextBounded(2000), rng.NextBounded(100000)});
   }
@@ -167,7 +166,7 @@ TEST(CorrelatedRarityTest, TracksOracleOnRandomStreams) {
   opts.eps = 0.1;
   CorrelatedRaritySketch sketch(opts, 15);
   F0Oracle oracle;
-  Xoshiro256 rng = TestRng(16);
+  Xoshiro256 rng(16);
   for (int i = 0; i < 60000; ++i) {
     // Mixture: half the ids are one-shot (large id space), half repeat.
     uint64_t x = (rng.NextBounded(2) == 0) ? 1000000 + rng.NextBounded(1u << 20)

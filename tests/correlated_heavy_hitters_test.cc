@@ -13,7 +13,6 @@ namespace castream {
 namespace {
 
 using test::HeavyHittersOracle;
-using test::TestRng;
 
 CorrelatedSketchOptions HhOptions() {
   CorrelatedSketchOptions o;
@@ -92,7 +91,7 @@ TEST(CorrelatedHeavyHittersTest, NoSpuriousHittersOnUniformStream) {
 TEST(CorrelatedHeavyHittersTest, SharesTrackExactShares) {
   CorrelatedF2HeavyHitters hh(HhOptions(), 0.05, 9);
   HeavyHittersOracle oracle;
-  Xoshiro256 rng = TestRng(10);
+  Xoshiro256 rng(10);
   // Two heavy items with 3:1 squared-frequency ratio plus noise.
   for (int i = 0; i < 1800; ++i) {
     uint64_t y = rng.NextBounded(60000);

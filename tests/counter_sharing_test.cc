@@ -5,8 +5,8 @@
 //   * Independence: whatever one copy does afterwards — insert, merge,
 //     decode — the other copy's state is bit-for-bit what it would be had
 //     the copy never been taken, in both directions, for every linear
-//     sketch that stores a CounterMatrix (AMS-F2, CountSketch, Count-Min),
-//     sparse (10 items) and dense (2000 items) alike.
+//     sketch that stores a CounterMatrix (AMS-F2 and CountSketch), sparse
+//     (10 items) and dense (2000 items) alike.
 //     The reference for "never copied" is an independent sketch fed the
 //     same operations.
 //   * Concurrency: a snapshot read and merged on one thread while the owner
@@ -30,17 +30,16 @@
 #include "src/driver/sharded_driver.h"
 #include "src/io/decoder.h"
 #include "src/io/encoder.h"
-#include "src/sketch/count_min.h"
 #include "src/sketch/count_sketch.h"
 #include "src/sketch/counter_matrix.h"
 #include "src/sketch/cow_vector.h"
+#include "src/stream/generators.h"
 #include "src/stream/types.h"
 #include "tests/test_util.h"
 
 namespace castream {
 namespace {
 
-using test::TestRng;
 using test::TreeOrderFold;
 
 // ---- CounterMatrix itself --------------------------------------------------
@@ -164,7 +163,6 @@ auto DecodeState(const F& factory, const std::string& bytes) {
 struct AmsTraits {
   using Factory = AmsF2SketchFactory;
   using Sketch = AmsF2Sketch;
-  static constexpr bool kHasWireFormat = true;
   static Factory MakeFactory() { return Factory(SketchDims{4, 64}, 7); }
   static void Insert(Sketch& s, uint64_t x, int64_t w) { s.Insert(x, w); }
   static std::string State(const Factory& f, const Sketch& s) {
@@ -175,7 +173,6 @@ struct AmsTraits {
 struct CountSketchTraits {
   using Factory = CountSketchFactory;
   using Sketch = CountSketch;
-  static constexpr bool kHasWireFormat = true;
   static Factory MakeFactory() { return Factory(SketchDims{3, 64}, 8); }
   static void Insert(Sketch& s, uint64_t x, int64_t w) { s.Insert(x, w); }
   static std::string State(const Factory& f, const Sketch& s) {
@@ -183,29 +180,10 @@ struct CountSketchTraits {
   }
 };
 
-struct CountMinTraits {
-  using Factory = CountMinSketchFactory;
-  using Sketch = CountMinSketch;
-  static constexpr bool kHasWireFormat = false;
-  static Factory MakeFactory() { return Factory(SketchDims{3, 64}, 9); }
-  static void Insert(Sketch& s, uint64_t x, int64_t w) {
-    ASSERT_TRUE(s.Insert(x, w).ok());
-  }
-  // No wire format: every item's estimate plus the total pins every cell
-  // any query can observe.
-  static std::string State(const Factory&, const Sketch& s) {
-    std::string out = std::to_string(s.TotalWeight());
-    for (uint64_t x = 0; x < 4096; ++x) {
-      out += ',' + std::to_string(s.EstimateFrequency(x));
-    }
-    return out;
-  }
-};
-
 // (x, w) pairs over `distinct` items; 2000 distinct items densify every
 // sketch here, 10 keep the AMS and CountSketch ones sparse.
 std::vector<std::pair<uint64_t, int64_t>> Ops(size_t distinct, uint64_t seed) {
-  Xoshiro256 rng = TestRng(seed);
+  Xoshiro256 rng(seed);
   std::vector<std::pair<uint64_t, int64_t>> ops;
   for (size_t i = 0; i < 3 * distinct; ++i) {
     ops.emplace_back(rng.NextBounded(distinct),
@@ -238,8 +216,7 @@ class CounterSharingTest : public ::testing::Test {
   typename Traits::Factory factory_ = Traits::MakeFactory();
 };
 
-using SketchTypes =
-    ::testing::Types<AmsTraits, CountSketchTraits, CountMinTraits>;
+using SketchTypes = ::testing::Types<AmsTraits, CountSketchTraits>;
 TYPED_TEST_SUITE(CounterSharingTest, SketchTypes);
 
 TYPED_TEST(CounterSharingTest, InsertsNeverLeakAcrossACopy) {
@@ -300,52 +277,41 @@ TYPED_TEST(CounterSharingTest, MergesNeverLeakAcrossACopy) {
 }
 
 TYPED_TEST(CounterSharingTest, DecodedSketchesCopyIndependently) {
-  if constexpr (TypeParam::kHasWireFormat) {
-    for (size_t distinct : {size_t{10}, size_t{2000}}) {
-      const auto first = Ops(distinct, 5);
-      const auto second = Ops(distinct, 6);
-      const std::string before = this->State(this->Fresh(first));
-      const std::string after = this->State(this->Fresh(first, second));
+  for (size_t distinct : {size_t{10}, size_t{2000}}) {
+    const auto first = Ops(distinct, 5);
+    const auto second = Ops(distinct, 6);
+    const std::string before = this->State(this->Fresh(first));
+    const std::string after = this->State(this->Fresh(first, second));
 
-      auto decoded = DecodeState(this->factory_, before);
-      auto copy = decoded;
-      this->Feed(copy, second);
-      EXPECT_EQ(this->State(decoded), before) << distinct;
-      EXPECT_EQ(this->State(copy), after) << distinct;
+    auto decoded = DecodeState(this->factory_, before);
+    auto copy = decoded;
+    this->Feed(copy, second);
+    EXPECT_EQ(this->State(decoded), before) << distinct;
+    EXPECT_EQ(this->State(copy), after) << distinct;
 
-      auto copy2 = decoded;
-      this->Feed(decoded, second);
-      EXPECT_EQ(this->State(copy2), before) << distinct;
-      EXPECT_EQ(this->State(decoded), after) << distinct;
-    }
-  } else {
-    GTEST_SKIP() << "no wire format";
+    auto copy2 = decoded;
+    this->Feed(decoded, second);
+    EXPECT_EQ(this->State(copy2), before) << distinct;
+    EXPECT_EQ(this->State(decoded), after) << distinct;
   }
 }
 
 // ---- Summary-level sharing -------------------------------------------------
 
+// Streams below are UniformStream(n, kXDomain, kYMax, seed).
+constexpr uint64_t kXDomain = 50000;
+constexpr uint64_t kYMax = (uint64_t{1} << 14) - 1;
+
 CorrelatedSketchOptions FrameworkOptions() {
   CorrelatedSketchOptions opts;
   opts.eps = 0.25;
   opts.delta = 0.1;
-  opts.y_max = (uint64_t{1} << 14) - 1;
+  opts.y_max = kYMax;
   opts.f_max_hint = 1e9;
   return opts;
 }
 
 CorrelatedF2Sketch MakeF2() { return MakeCorrelatedF2(FrameworkOptions(), 17); }
-
-std::vector<Tuple> MakeStream(size_t n, uint64_t seed) {
-  Xoshiro256 rng = TestRng(seed);
-  std::vector<Tuple> stream;
-  stream.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    stream.push_back(Tuple{rng.NextBounded(50000),
-                           rng.NextBounded(FrameworkOptions().y_max + 1)});
-  }
-  return stream;
-}
 
 template <typename S>
 std::string Bytes(const S& s) {
@@ -367,13 +333,14 @@ std::shared_ptr<const CorrelatedF2Sketch> Unshared(
 TEST(SummaryCopyTest, CopyAfterLargeBatchIngestsLikeTheOriginal) {
   // The copy starts with empty batch staging; the original keeps buffers
   // sized by its last batch. Neither may change what further batches do.
-  const auto big = MakeStream(200000, 31);
+  const auto big = UniformStream(200000, kXDomain, kYMax, 31);
   CorrelatedF2Sketch original = MakeF2();
   original.InsertBatch(std::span<const Tuple>(big));
   CorrelatedF2Sketch copy = original;
   ASSERT_EQ(Bytes(copy), Bytes(original));
   for (uint64_t seed = 40; seed < 44; ++seed) {
-    const auto more = MakeStream(size_t{1} << (10 + seed - 40), seed);
+    const auto more =
+        UniformStream(size_t{1} << (10 + seed - 40), kXDomain, kYMax, seed);
     original.InsertBatch(std::span<const Tuple>(more));
     copy.InsertBatch(std::span<const Tuple>(more));
     ASSERT_EQ(Bytes(copy), Bytes(original)) << seed;
@@ -398,7 +365,7 @@ TEST(SummaryCopyTest, MergeTreeNodesSharingLeafCellsMatchTreeOrderFold) {
       // Round 0 fills every shard; later rounds touch only some, so
       // unchanged leaves keep their memoized nodes.
       if (round > 0 && (round + s) % 2 == 0) continue;
-      const auto part = MakeStream(6000, 100 * round + s);
+      const auto part = UniformStream(6000, kXDomain, kYMax, 100 * round + s);
       live[s].InsertBatch(std::span<const Tuple>(part));
       snaps[s] = std::make_shared<const CorrelatedF2Sketch>(live[s]);
       ++epochs[s];
@@ -427,7 +394,8 @@ TEST(CounterSharingConcurrencyTest, SnapshotReadWhileOwnerWrites) {
   // through a relaxed counter, which creates no happens-before edge.
   CorrelatedF2Sketch live = MakeF2();
   CorrelatedF2Sketch other = MakeF2();
-  other.InsertBatch(std::span<const Tuple>(MakeStream(5000, 7)));
+  other.InsertBatch(
+      std::span<const Tuple>(UniformStream(5000, kXDomain, kYMax, 7)));
   struct Published {
     std::shared_ptr<const CorrelatedF2Sketch> snap;
     std::string bytes;
@@ -461,7 +429,7 @@ TEST(CounterSharingConcurrencyTest, SnapshotReadWhileOwnerWrites) {
       dropped.fetch_add(1, std::memory_order_relaxed);
     }
   });
-  const auto stream = MakeStream(60000, 9);
+  const auto stream = UniformStream(60000, kXDomain, kYMax, 9);
   constexpr size_t kBatch = 2000;
   constexpr size_t kOverlap = 64;  // inserted while the reader reads
   int published = 0;
@@ -497,7 +465,7 @@ TEST(CounterSharingConcurrencyTest, DriverSnapshotQueriesBesideIngest) {
   dopts.batch_size = 256;
   dopts.snapshot_interval_batches = 2;
   ShardedDriver<CorrelatedF2Sketch> driver(dopts, [] { return MakeF2(); });
-  const auto stream = MakeStream(60000, 11);
+  const auto stream = UniformStream(60000, kXDomain, kYMax, 11);
   std::atomic<bool> done{false};
   std::thread reader([&] {
     const QueryOptions snapshot{.mode = QueryMode::kSnapshot};

@@ -31,8 +31,6 @@
 namespace castream {
 namespace {
 
-using test::TestRng;
-
 // Fixture parameters are frozen: changing any of them invalidates the
 // checked-in blobs just as surely as a format change would.
 SummaryOptions GoldenOptions() {
@@ -51,7 +49,7 @@ constexpr uint64_t kGoldenSeed = 20260728;
 constexpr size_t kGoldenStreamLen = 1000;
 
 std::vector<Tuple> GoldenStream() {
-  Xoshiro256 rng = TestRng(kGoldenSeed);
+  Xoshiro256 rng(kGoldenSeed);
   std::vector<Tuple> stream;
   stream.reserve(kGoldenStreamLen);
   for (size_t i = 0; i < kGoldenStreamLen; ++i) {

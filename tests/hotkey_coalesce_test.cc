@@ -22,25 +22,7 @@
 namespace castream {
 namespace {
 
-using test::TestRng;
-
 using KeyWeights = std::map<std::pair<uint64_t, uint64_t>, int64_t>;
-
-// Zipf-skewed duplicate-heavy unit-weight stream (the workload coalescing
-// exists for).
-std::vector<Tuple> MakeZipfStream(size_t n, uint64_t x_domain, uint64_t y_card,
-                                  uint64_t y_max, uint64_t seed) {
-  Xoshiro256 rng = TestRng(seed);
-  ZipfDistribution zipf(x_domain, 1.1);
-  const uint64_t y_step = y_max / (y_card - 1);
-  std::vector<Tuple> stream;
-  stream.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    stream.push_back(Tuple{zipf.Sample(rng),
-                           std::min(rng.NextBounded(y_card) * y_step, y_max)});
-  }
-  return stream;
-}
 
 KeyWeights SumByKey(const std::vector<WeightedTuple>& rows) {
   KeyWeights sums;
@@ -50,7 +32,7 @@ KeyWeights SumByKey(const std::vector<WeightedTuple>& rows) {
 
 TEST(HotKeyBufferTest, ConservesWeightPerKey) {
   HotKeyBuffer buf(64);
-  Xoshiro256 rng = TestRng(1);
+  Xoshiro256 rng(1);
   KeyWeights offered;
   std::vector<WeightedTuple> emitted;
   const auto emit = [&](const WeightedTuple& t) { emitted.push_back(t); };
@@ -116,7 +98,7 @@ TEST(HotKeyBufferTest, DeterministicGivenSlotsAndSeed) {
   HotKeyBuffer a(32);
   HotKeyBuffer b(32);
   std::vector<WeightedTuple> ea, eb;
-  Xoshiro256 rng = TestRng(2);
+  Xoshiro256 rng(2);
   for (size_t i = 0; i < 5000; ++i) {
     const uint64_t x = rng.NextBounded(500);
     const uint64_t y = rng.NextBounded(4);
@@ -187,7 +169,7 @@ CorrelatedSketchOptions FrameworkOptions() {
 std::vector<uint64_t> CutoffLadder(uint64_t y_max, uint64_t seed) {
   std::vector<uint64_t> cutoffs{0, 1, y_max};
   for (uint64_t c = 2; c < y_max; c *= 2) cutoffs.push_back(c - 1);
-  Xoshiro256 rng = TestRng(seed);
+  Xoshiro256 rng(seed);
   for (int i = 0; i < 8; ++i) cutoffs.push_back(rng.NextBounded(y_max + 1));
   return cutoffs;
 }
@@ -250,7 +232,10 @@ TEST(CoalescedDriverEquivalenceTest, MatchesReplayOracle) {
   // Small coalescer relative to the key domain: hits, parks, and evictions
   // all occur.
   constexpr size_t kSlots = 64;
-  const auto stream = MakeZipfStream(30000, 2000, 8, opts.y_max, 3);
+  // Zipf-skewed and duplicate-heavy (8 y values): the workload coalescing
+  // exists for.
+  const auto stream =
+      ZipfStream(30000, 2000, 1.1, /*y_card=*/8, opts.y_max / 7, 3);
 
   ShardedDriverOptions dopts;
   dopts.shards = 3;
@@ -287,7 +272,8 @@ TEST(CoalescedDriverEquivalenceTest, MidStreamFlushDrainsPartialBuffer) {
   patched.conditions = AggregateConditions::ForFk(2.0);
   auto make = [&] { return CorrelatedF2Sketch(patched, factory); };
   constexpr size_t kSlots = 512;  // big: lots parked at the boundary
-  const auto stream = MakeZipfStream(12000, 1500, 8, opts.y_max, 4);
+  const auto stream =
+      ZipfStream(12000, 1500, 1.1, /*y_card=*/8, opts.y_max / 7, 4);
   const size_t kCut = stream.size() / 2;
 
   ShardedDriverOptions dopts;

@@ -23,11 +23,9 @@
 namespace castream {
 namespace {
 
-using test::TestRng;
-
 std::vector<Tuple> MakeStream(size_t n, uint64_t x_domain, uint64_t y_max,
                               uint64_t seed) {
-  Xoshiro256 rng = TestRng(seed);
+  Xoshiro256 rng(seed);
   std::vector<Tuple> stream;
   stream.reserve(n);
   for (size_t i = 0; i < n; ++i) {
@@ -44,42 +42,15 @@ std::vector<Tuple> MakeStream(size_t n, uint64_t x_domain, uint64_t y_max,
   return stream;
 }
 
-// Zipf(1.1)-ordered, duplicate-heavy stream: x drawn Zipfian so a handful
-// of identifiers dominate, y quantized to `y_card` distinct values so whole
-// (x, y) pairs repeat, plus occasional bursts of back-to-back identical
-// tuples. This is the trace shape the columnar router's per-level threshold
-// gates see in production, and the worst case for any batching bug that
-// depends on rows being distinct.
-std::vector<Tuple> MakeZipfStream(size_t n, uint64_t x_domain, uint64_t y_max,
-                                  uint64_t y_card, uint64_t seed) {
-  Xoshiro256 rng = TestRng(seed);
-  ZipfDistribution zipf(x_domain, 1.1);
-  const uint64_t y_step = y_max / (y_card - 1);
-  std::vector<Tuple> stream;
-  stream.reserve(n);
-  while (stream.size() < n) {
-    const Tuple t{zipf.Sample(rng),
-                  std::min(rng.NextBounded(y_card) * y_step, y_max)};
-    // 1-in-4 tuples arrive as a burst of identical copies.
-    const size_t burst = rng.NextBounded(4) == 0 ? 1 + rng.NextBounded(6) : 1;
-    for (size_t b = 0; b < burst && stream.size() < n; ++b) {
-      stream.push_back(t);
-    }
-  }
-  return stream;
-}
-
-// Weighted turnstile-ish stream on the same duplicate-heavy shape; weights
-// in {0..5} (zero-weight rows are documented no-ops on every weighted path
-// and must stay no-ops under batching).
-std::vector<WeightedTuple> MakeWeightedStream(size_t n, uint64_t x_domain,
-                                              uint64_t y_max, uint64_t y_card,
-                                              uint64_t seed) {
-  Xoshiro256 rng = TestRng(seed);
-  const auto base = MakeZipfStream(n, x_domain, y_max, y_card, seed + 1);
+// Attaches a weight in {0..5} to each tuple, drawn from Xoshiro256(seed)
+// (zero-weight rows are documented no-ops on every weighted path and must
+// stay no-ops under batching).
+std::vector<WeightedTuple> AddWeights(const std::vector<Tuple>& tuples,
+                                      uint64_t seed) {
+  Xoshiro256 rng(seed);
   std::vector<WeightedTuple> stream;
-  stream.reserve(n);
-  for (const Tuple& t : base) {
+  stream.reserve(tuples.size());
+  for (const Tuple& t : tuples) {
     stream.push_back(
         WeightedTuple{t.x, t.y, static_cast<int64_t>(rng.NextBounded(6))});
   }
@@ -105,7 +76,7 @@ void FeedBatched(S& sketch, const std::vector<T>& stream) {
 std::vector<uint64_t> CutoffLadder(uint64_t y_max, uint64_t seed) {
   std::vector<uint64_t> cutoffs{0, 1, y_max};
   for (uint64_t c = 2; c < y_max; c *= 2) cutoffs.push_back(c - 1);
-  Xoshiro256 rng = TestRng(seed);
+  Xoshiro256 rng(seed);
   for (int i = 0; i < 8; ++i) cutoffs.push_back(rng.NextBounded(y_max + 1));
   return cutoffs;
 }
@@ -279,17 +250,23 @@ TEST(InsertBatchEquivalenceTest, CorrelatedF2HeavyHitters) {
 }
 
 // ---------------------------------------------------------------------------
-// Zipf(1.1)-ordered, duplicate-heavy streams. Repeated (x, y) pairs keep the
-// same rows landing in the same buckets, which is exactly where the columnar
-// router's per-level threshold gates could diverge from sequential order if
-// the skip or the per-row re-check were approximate.
+// Zipf(1.1)-ordered, duplicate-heavy streams: x Zipfian so a handful of
+// identifiers dominate, y one of 16 values spread over [0, y_max] so whole
+// (x, y) pairs repeat, and one draw in 4 arrives as a burst of 1..6
+// identical copies (BurstyStream(..., y_max / 15, /*burst_odds=*/4,
+// /*max_burst=*/6, seed)). Repeated (x, y) pairs keep the same rows landing
+// in the same buckets, which is exactly where the columnar router's
+// per-level threshold gates could diverge from sequential order if the skip
+// or the per-row re-check were approximate. It is also the worst case for
+// any batching bug that depends on rows being distinct.
 // ---------------------------------------------------------------------------
 
 TEST(InsertBatchEquivalenceTest, ZipfDuplicateHeavyF2AmsSketch) {
   const auto opts = FrameworkOptions();
   auto sequential = MakeCorrelatedF2(opts, 52);
   auto batched = MakeCorrelatedF2(opts, 52);
-  const auto stream = MakeZipfStream(30000, 2000, opts.y_max, 16, 21);
+  const auto stream =
+      BurstyStream(30000, 2000, 1.1, 16, opts.y_max / 15, 4, 6, 21);
   for (const Tuple& t : stream) sequential.Insert(t.x, t.y);
   FeedBatched(batched, stream);
   ExpectIdenticalStructure(sequential, batched);
@@ -304,7 +281,7 @@ TEST(InsertBatchEquivalenceTest, ZipfDuplicateHeavyF0Sketch) {
   CorrelatedF0Sketch sequential(opts, 53);
   CorrelatedF0Sketch batched(opts, 53);
   const uint64_t y_max = (uint64_t{1} << 12) - 1;
-  const auto stream = MakeZipfStream(20000, 3000, y_max, 16, 22);
+  const auto stream = BurstyStream(20000, 3000, 1.1, 16, y_max / 15, 4, 6, 22);
   for (const Tuple& t : stream) sequential.Insert(t.x, t.y);
   FeedBatched(batched, stream);
   ASSERT_EQ(sequential.StoredTuplesEquivalent(),
@@ -320,7 +297,7 @@ TEST(InsertBatchEquivalenceTest, ZipfDuplicateHeavyRaritySketch) {
   CorrelatedRaritySketch sequential(opts, 54);
   CorrelatedRaritySketch batched(opts, 54);
   const uint64_t y_max = (uint64_t{1} << 11) - 1;
-  const auto stream = MakeZipfStream(12000, 1500, y_max, 16, 23);
+  const auto stream = BurstyStream(12000, 1500, 1.1, 16, y_max / 15, 4, 6, 23);
   for (const Tuple& t : stream) sequential.Insert(t.x, t.y);
   FeedBatched(batched, stream);
   ExpectIdenticalScalarQueries(sequential, batched, y_max);
@@ -331,7 +308,8 @@ TEST(InsertBatchEquivalenceTest, ZipfDuplicateHeavyF2HeavyHitters) {
   opts.f_max_hint = 1e8;
   CorrelatedF2HeavyHitters sequential(opts, 0.05, 55);
   CorrelatedF2HeavyHitters batched(opts, 0.05, 55);
-  const auto stream = MakeZipfStream(20000, 1000, opts.y_max, 16, 24);
+  const auto stream =
+      BurstyStream(20000, 1000, 1.1, 16, opts.y_max / 15, 4, 6, 24);
   for (const Tuple& t : stream) sequential.Insert(t.x, t.y);
   FeedBatched(batched, stream);
   ExpectIdenticalHeavyHitterQueries(sequential, batched, opts.y_max, 79);
@@ -349,7 +327,8 @@ TEST(InsertBatchEquivalenceTest, WeightedBatchesF2AmsSketch) {
   const auto opts = FrameworkOptions();
   auto sequential = MakeCorrelatedF2(opts, 56);
   auto batched = MakeCorrelatedF2(opts, 56);
-  const auto stream = MakeWeightedStream(30000, 2000, opts.y_max, 16, 25);
+  const auto stream = AddWeights(
+      BurstyStream(30000, 2000, 1.1, 16, opts.y_max / 15, 4, 6, 26), 25);
   for (const WeightedTuple& t : stream) sequential.Insert(t.x, t.y, t.weight);
   FeedBatched(batched, stream);
   ExpectIdenticalStructure(sequential, batched);
@@ -364,7 +343,8 @@ TEST(InsertBatchEquivalenceTest, WeightedBatchesF0Sketch) {
   CorrelatedF0Sketch sequential(opts, 57);
   CorrelatedF0Sketch batched(opts, 57);
   const uint64_t y_max = (uint64_t{1} << 12) - 1;
-  const auto stream = MakeWeightedStream(20000, 3000, y_max, 16, 26);
+  const auto stream = AddWeights(
+      BurstyStream(20000, 3000, 1.1, 16, y_max / 15, 4, 6, 27), 26);
   for (const WeightedTuple& t : stream) {
     sequential.Insert(t.x, t.y, static_cast<uint64_t>(t.weight));
   }
@@ -382,7 +362,8 @@ TEST(InsertBatchEquivalenceTest, WeightedBatchesRaritySketch) {
   CorrelatedRaritySketch sequential(opts, 58);
   CorrelatedRaritySketch batched(opts, 58);
   const uint64_t y_max = (uint64_t{1} << 11) - 1;
-  const auto stream = MakeWeightedStream(12000, 1500, y_max, 16, 27);
+  const auto stream = AddWeights(
+      BurstyStream(12000, 1500, 1.1, 16, y_max / 15, 4, 6, 28), 27);
   for (const WeightedTuple& t : stream) {
     sequential.Insert(t.x, t.y, static_cast<uint64_t>(t.weight));
   }
@@ -395,7 +376,8 @@ TEST(InsertBatchEquivalenceTest, WeightedBatchesF2HeavyHitters) {
   opts.f_max_hint = 1e8;
   CorrelatedF2HeavyHitters sequential(opts, 0.05, 59);
   CorrelatedF2HeavyHitters batched(opts, 0.05, 59);
-  const auto stream = MakeWeightedStream(20000, 1000, opts.y_max, 16, 28);
+  const auto stream = AddWeights(
+      BurstyStream(20000, 1000, 1.1, 16, opts.y_max / 15, 4, 6, 29), 28);
   for (const WeightedTuple& t : stream) sequential.Insert(t.x, t.y, t.weight);
   FeedBatched(batched, stream);
   ExpectIdenticalHeavyHitterQueries(sequential, batched, opts.y_max, 80);
@@ -412,7 +394,7 @@ TEST(InsertBatchEquivalenceTest, WeightedMultiplicityEqualsRepeatedInserts) {
   CorrelatedRaritySketch repeated(opts, 60);
   CorrelatedRaritySketch weighted(opts, 60);
   const uint64_t y_max = (uint64_t{1} << 12) - 1;
-  Xoshiro256 rng = TestRng(29);
+  Xoshiro256 rng(29);
   for (size_t i = 0; i < 4000; ++i) {
     const uint64_t x = rng.NextBounded(3000);
     const uint64_t y = rng.NextBounded(y_max + 1);

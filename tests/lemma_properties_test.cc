@@ -19,7 +19,6 @@ namespace {
 using test::Concat;
 using test::ExactFk;
 using test::RandomMultiset;
-using test::TestRng;
 
 struct LemmaCase {
   double k;
@@ -31,7 +30,7 @@ class FkLemmaTest : public ::testing::TestWithParam<LemmaCase> {};
 
 TEST_P(FkLemmaTest, ConditionII_Superadditivity) {
   const LemmaCase c = GetParam();
-  Xoshiro256 rng = TestRng(11);
+  Xoshiro256 rng(11);
   for (int trial = 0; trial < 20; ++trial) {
     auto r1 = RandomMultiset(rng, c.n, c.domain);
     auto r2 = RandomMultiset(rng, c.n / 2 + 1, c.domain);
@@ -43,7 +42,7 @@ TEST_P(FkLemmaTest, ConditionII_Superadditivity) {
 
 TEST_P(FkLemmaTest, Lemma6_UnionGrowthBoundedByJtoK) {
   const LemmaCase c = GetParam();
-  Xoshiro256 rng = TestRng(13);
+  Xoshiro256 rng(13);
   for (int trial = 0; trial < 10; ++trial) {
     const int j = 2 + static_cast<int>(rng.NextBounded(4));
     std::vector<std::vector<uint64_t>> sets;
@@ -61,7 +60,7 @@ TEST_P(FkLemmaTest, Lemma6_UnionGrowthBoundedByJtoK) {
 
 TEST_P(FkLemmaTest, Lemma7_SmallSetAbsorption) {
   const LemmaCase c = GetParam();
-  Xoshiro256 rng = TestRng(17);
+  Xoshiro256 rng(17);
   for (double eps : {0.2, 0.5, 0.9}) {
     for (int trial = 0; trial < 10; ++trial) {
       auto a = RandomMultiset(rng, c.n, c.domain);
@@ -83,7 +82,7 @@ TEST_P(FkLemmaTest, Lemma7_SmallSetAbsorption) {
 
 TEST_P(FkLemmaTest, Lemma8_SubtractionStability) {
   const LemmaCase c = GetParam();
-  Xoshiro256 rng = TestRng(19);
+  Xoshiro256 rng(19);
   for (double eps : {0.3, 0.6}) {
     for (int trial = 0; trial < 10; ++trial) {
       auto d = RandomMultiset(rng, c.n, c.domain);
@@ -150,7 +149,7 @@ TEST(ConditionIITest, RarityViolatesSuperadditivity) {
 
 TEST(ConditionITest, FkPolynomiallyBoundedInStreamLength) {
   // Condition I: f(R) <= poly(|R|). For unit weights Fk <= n^k.
-  Xoshiro256 rng = TestRng(23);
+  Xoshiro256 rng(23);
   for (double k : {2.0, 3.0}) {
     for (int n : {10, 100, 1000}) {
       auto r = RandomMultiset(rng, n, 7);  // tiny domain: worst case

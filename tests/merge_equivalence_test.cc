@@ -26,6 +26,7 @@
 #include "src/core/correlated_fk.h"
 #include "src/core/correlated_heavy_hitters.h"
 #include "src/core/exact_correlated.h"
+#include "src/stream/generators.h"
 #include "src/stream/types.h"
 #include "tests/test_util.h"
 
@@ -33,9 +34,7 @@ namespace castream {
 namespace {
 
 using test::F0Oracle;
-using test::SkewedStream;
 using test::SweepCounter;
-using test::TestRng;
 using test::TrialsWithin;
 
 // Round-robin split: deliberately NOT the x-partition the sharded driver
@@ -51,7 +50,7 @@ std::vector<std::vector<Tuple>> RoundRobinSplit(const std::vector<Tuple>& s,
 std::vector<uint64_t> CutoffLadder(uint64_t y_max, uint64_t seed) {
   std::vector<uint64_t> cutoffs{0, 1, y_max};
   for (uint64_t c = 2; c < y_max; c *= 2) cutoffs.push_back(c - 1);
-  Xoshiro256 rng = TestRng(seed);
+  Xoshiro256 rng(seed);
   for (int i = 0; i < 8; ++i) cutoffs.push_back(rng.NextBounded(y_max + 1));
   return cutoffs;
 }
@@ -338,7 +337,7 @@ void ChhMergeBitForBitWhenTablesNeverOverflow() {
   CorrelatedChhOptions opts;
   opts.x_capacity_override = 64;
   opts.y_capacity_override = 32;
-  Xoshiro256 rng = TestRng(61);
+  Xoshiro256 rng(61);
   std::vector<Tuple> stream;
   for (int i = 0; i < 9000; ++i) {
     stream.push_back(Tuple{rng.NextBounded(24), rng.NextBounded(12)});
@@ -379,7 +378,7 @@ void ChhMergeKeepsGuaranteesUnderOverflow() {
   opts.x_capacity_override = 16;
   opts.y_capacity_override = 8;
   constexpr uint64_t kHeavy = 9;
-  Xoshiro256 rng = TestRng(62);
+  Xoshiro256 rng(62);
   std::vector<Tuple> stream;
   std::map<uint64_t, std::map<uint64_t, uint64_t>> exact;
   for (int i = 0; i < 12000; ++i) {

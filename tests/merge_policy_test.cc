@@ -32,6 +32,7 @@
 #include "src/core/correlated_fk.h"
 #include "src/driver/merge_cache.h"
 #include "src/driver/sharded_driver.h"
+#include "src/stream/generators.h"
 #include "src/stream/types.h"
 #include "tests/test_util.h"
 
@@ -40,10 +41,8 @@ namespace {
 
 using test::ExactFk;
 using test::F0Oracle;
-using test::TestRng;
 using test::TreeOrderFold;
 using test::TrialsWithin;
-using test::UniformStream;
 
 // All F2 sketches in this suite share one sketch seed (equal hash
 // families), so any subset is mergeable; streams vary per snapshot.
@@ -148,7 +147,7 @@ TEST(MergeTreeTest, ChurnedMemoMatchesFreshRebuildBitForBit) {
   MergeCache<CorrelatedF2Sketch> churned(
       [&] { return MakeCorrelatedF2(opts, kSketchSeed); });
   ASSERT_TRUE(churned.Merge(snaps, epochs).ok());
-  Xoshiro256 rng = TestRng(74);
+  Xoshiro256 rng(74);
   for (int round = 0; round < 20; ++round) {
     const size_t slot = rng.NextBounded(kSlots);
     snaps[slot] = MakeSnapshots(1, opts, 200 + round)[0];
@@ -186,7 +185,7 @@ TEST(MergeTreeTest, DriverSingleShardChurnAtS64IsLogS) {
   // first blocking query publishes and tree-merges all 64 leaves.
   std::vector<Tuple> warmup;
   warmup.reserve(4096);
-  Xoshiro256 rng = TestRng(76);
+  Xoshiro256 rng(76);
   for (uint64_t x = 0; x < 4096; ++x) {
     warmup.push_back(Tuple{x, rng.NextBounded(opts.y_max + 1)});
   }
@@ -285,7 +284,7 @@ TEST(MergeTreeTest, TreeAnswersWithinExactBandForAllKinds) {
       // path a live reducer's table exercises.
       std::vector<size_t> order(kSlots);
       for (size_t s = 0; s < kSlots; ++s) order[s] = s;
-      Xoshiro256 rng = TestRng(seed * 7 + 1);
+      Xoshiro256 rng(seed * 7 + 1);
       for (size_t s = kSlots - 1; s > 0; --s) {
         std::swap(order[s], order[rng.NextBounded(s + 1)]);
       }

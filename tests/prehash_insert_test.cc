@@ -12,7 +12,6 @@
 #include "src/core/correlated_heavy_hitters.h"
 #include "src/hash/row_hasher.h"
 #include "src/sketch/ams_f2.h"
-#include "src/sketch/count_min.h"
 #include "src/sketch/count_sketch.h"
 #include "src/sketch/fk_sketch.h"
 #include "tests/test_util.h"
@@ -20,11 +19,9 @@
 namespace castream {
 namespace {
 
-using test::TestRng;
-
 TEST(RowHashSetPrehashTest, MatchesPerRowHashes) {
   RowHashSet hashes(123, 6, 256);
-  Xoshiro256 rng = TestRng(1);
+  Xoshiro256 rng(1);
   for (int i = 0; i < 2000; ++i) {
     const uint64_t x = rng.Next();
     const RowHashSet::PreHashed ph = hashes.Prehash(x);
@@ -50,7 +47,7 @@ TEST(PrehashInsertTest, AmsF2MatchesPlainAcrossDensify) {
   AmsF2SketchFactory factory(SketchDims{4, 256}, 99);
   AmsF2Sketch plain = factory.Create();
   AmsF2Sketch prehashed = factory.Create();
-  Xoshiro256 rng = TestRng(2);
+  Xoshiro256 rng(2);
   ASSERT_TRUE(plain.IsSparse());
   for (int i = 0; i < 2000; ++i) {
     const uint64_t x = rng.NextBounded(400);
@@ -71,7 +68,7 @@ TEST(PrehashInsertTest, AmsF2MatchesPlainAcrossDensify) {
 TEST(PrehashInsertTest, AmsF2UpperBoundHoldsUnderNegativeWeights) {
   AmsF2SketchFactory factory(SketchDims{3, 64}, 7);
   AmsF2Sketch sketch = factory.Create();
-  Xoshiro256 rng = TestRng(3);
+  Xoshiro256 rng(3);
   for (int i = 0; i < 1500; ++i) {
     const uint64_t x = rng.NextBounded(100);
     const int64_t w = static_cast<int64_t>(rng.NextBounded(7)) - 3;
@@ -82,7 +79,7 @@ TEST(PrehashInsertTest, AmsF2UpperBoundHoldsUnderNegativeWeights) {
 
 TEST(PrehashInsertTest, AmsF2MergeAllModeCombinations) {
   AmsF2SketchFactory factory(SketchDims{4, 128}, 11);
-  Xoshiro256 rng = TestRng(4);
+  Xoshiro256 rng(4);
   // sizes chosen so "small" stays sparse and "big" densifies (capacity 64).
   const std::vector<uint64_t> small_stream = test::RandomMultiset(rng, 30, 50);
   const std::vector<uint64_t> big_stream = test::RandomMultiset(rng, 500, 300);
@@ -125,7 +122,7 @@ TEST(PrehashInsertTest, CountSketchMatchesPlainAcrossDensify) {
   CountSketchFactory factory(SketchDims{4, 128}, 21);
   CountSketch plain = factory.Create();
   CountSketch prehashed = factory.Create();
-  Xoshiro256 rng = TestRng(5);
+  Xoshiro256 rng(5);
   for (int i = 0; i < 1200; ++i) {
     const uint64_t x = rng.NextBounded(250);
     const int64_t w = static_cast<int64_t>(rng.NextBounded(5)) - 2;
@@ -143,7 +140,7 @@ TEST(PrehashInsertTest, CountSketchMatchesPlainAcrossDensify) {
 
 TEST(PrehashInsertTest, CountSketchMergeSparseIntoDense) {
   CountSketchFactory factory(SketchDims{3, 128}, 31);
-  Xoshiro256 rng = TestRng(6);
+  Xoshiro256 rng(6);
   CountSketch reference = factory.Create();
   CountSketch dense = factory.Create();
   CountSketch sparse = factory.Create();
@@ -164,24 +161,6 @@ TEST(PrehashInsertTest, CountSketchMergeSparseIntoDense) {
   }
 }
 
-TEST(PrehashInsertTest, CountMinMatchesPlain) {
-  CountMinSketchFactory factory(SketchDims{5, 128}, 41);
-  CountMinSketch plain = factory.Create();
-  CountMinSketch prehashed = factory.Create();
-  Xoshiro256 rng = TestRng(7);
-  for (int i = 0; i < 1500; ++i) {
-    const uint64_t x = rng.NextBounded(300);
-    ASSERT_TRUE(plain.Insert(x, 2).ok());
-    ASSERT_TRUE(prehashed.Insert(factory.Prehash(x), 2).ok());
-  }
-  EXPECT_EQ(plain.TotalWeight(), prehashed.TotalWeight());
-  for (uint64_t x = 0; x < 300; ++x) {
-    ASSERT_EQ(plain.EstimateFrequency(x), prehashed.EstimateFrequency(x));
-  }
-  // The cash-register precondition applies to the pre-hashed path too.
-  EXPECT_FALSE(prehashed.Insert(factory.Prehash(1), -1).ok());
-}
-
 TEST(PrehashInsertTest, FkSketchMatchesPlain) {
   FkSketchOptions options;
   options.k = 3.0;
@@ -193,7 +172,7 @@ TEST(PrehashInsertTest, FkSketchMatchesPlain) {
   FkSketchFactory factory(options, 51);
   FkSketch plain = factory.Create();
   FkSketch prehashed = factory.Create();
-  Xoshiro256 rng = TestRng(8);
+  Xoshiro256 rng(8);
   for (int i = 0; i < 1000; ++i) {
     const uint64_t x = rng.NextBounded(200);
     plain.Insert(x, 1);
@@ -231,7 +210,7 @@ TEST(PrehashInsertTest, HeavyHitterBundleMatchesPlain) {
       CountSketchFactory(SketchDims{4, 128}, 62), 16);
   F2HeavyHitterBundle plain = factory.Create();
   F2HeavyHitterBundle prehashed = factory.Create();
-  Xoshiro256 rng = TestRng(9);
+  Xoshiro256 rng(9);
   for (int i = 0; i < 1500; ++i) {
     const uint64_t x = rng.NextBounded(120);
     plain.Insert(x, 1);

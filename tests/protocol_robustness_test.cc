@@ -36,7 +36,6 @@ using service::EncodeQuery;
 using service::EpochEntry;
 using service::ServedAnswer;
 using service::SplitPublishPayload;
-using test::TestRng;
 
 bool IsCleanRejection(const Status& status) {
   return status.code() == Status::Code::kInvalidArgument ||
@@ -347,7 +346,7 @@ std::string RealBlob(const char* kind = "f2") {
   auto made = MakeSummary(kind, opts, /*seed=*/31);
   EXPECT_TRUE(made.ok());
   AnySummary summary = std::move(made).value();
-  Xoshiro256 rng = TestRng(5);
+  Xoshiro256 rng(5);
   std::vector<Tuple> stream;
   for (int i = 0; i < 500; ++i) {
     stream.push_back(Tuple{rng.NextBounded(400), rng.NextBounded(1024)});

@@ -16,19 +16,17 @@
 #include "src/core/correlated_fk.h"
 #include "src/core/correlated_heavy_hitters.h"
 #include "src/io/decoder.h"
+#include "src/stream/generators.h"
 #include "src/stream/types.h"
 #include "tests/test_util.h"
 
 namespace castream {
 namespace {
 
-using test::SkewedStream;
-using test::TestRng;
-
 std::vector<uint64_t> CutoffLadder(uint64_t y_max, uint64_t seed) {
   std::vector<uint64_t> cutoffs{0, 1, y_max};
   for (uint64_t c = 2; c < y_max; c *= 2) cutoffs.push_back(c - 1);
-  Xoshiro256 rng = TestRng(seed);
+  Xoshiro256 rng(seed);
   for (int i = 0; i < 8; ++i) cutoffs.push_back(rng.NextBounded(y_max + 1));
   return cutoffs;
 }

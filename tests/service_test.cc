@@ -25,19 +25,24 @@
 #include "src/service/publisher.h"
 #include "src/service/reducer.h"
 #include "src/service/relay.h"
+#include "src/stream/generators.h"
 #include "src/stream/types.h"
 #include "tests/test_util.h"
 
 namespace castream {
 namespace {
 
-using test::TestRng;
+// The streams here are UniformStream(n, kXDomain, kYMax, seed), with seed
+// kStreamSeed unless a test needs a different stream.
+constexpr uint64_t kXDomain = 512;
+constexpr uint64_t kYMax = 4095;
+constexpr uint64_t kStreamSeed = 11;
 
 SummaryOptions ServiceOptions() {
   SummaryOptions opts;
   opts.eps = 0.25;
   opts.delta = 0.1;
-  opts.y_max = 4095;
+  opts.y_max = kYMax;
   opts.f_max_hint = 1e6;
   opts.x_domain = 512;
   opts.phi_eps = 0.1;
@@ -53,16 +58,6 @@ service::ReducerOptions ReducerOpts(const char* kind, uint16_t port = 0) {
   ropts.summary_seed = kSeed;
   ropts.port = port;
   return ropts;
-}
-
-std::vector<Tuple> DemoStream(size_t n, uint64_t rng_seed = 11) {
-  Xoshiro256 rng = TestRng(rng_seed);
-  std::vector<Tuple> stream;
-  stream.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    stream.push_back(Tuple{rng.NextBounded(512), rng.NextBounded(4096)});
-  }
-  return stream;
 }
 
 std::unique_ptr<ShardedDriver<AnySummary>> MakeDriver(const char* kind,
@@ -94,7 +89,7 @@ TEST(ServiceTest, PublishedAnswersEqualDriverOracleExactly) {
     auto reducer = std::move(started).value();
 
     auto driver = MakeDriver(kind, /*shards=*/3);
-    const auto stream = DemoStream(6000);
+    const auto stream = UniformStream(6000, kXDomain, kYMax, kStreamSeed);
     driver->InsertBatch(stream);
     // Summarize flushes, publishes, and tree-merges the shard
     // snapshots; the reducer runs the same MergeCache engine over its
@@ -158,7 +153,7 @@ TEST(ServiceTest, SessionEpochRulesAtTheFrameLevel) {
   auto made = MakeSummary("f2", ServiceOptions(), kSeed);
   ASSERT_TRUE(made.ok());
   AnySummary summary = std::move(made).value();
-  summary.InsertBatch(DemoStream(500));
+  summary.InsertBatch(UniformStream(500, kXDomain, kYMax, kStreamSeed));
   std::string blob;
   ASSERT_TRUE(summary.Serialize(&blob).ok());
 
@@ -255,7 +250,7 @@ TEST(ServiceTest, GarbageFramesDropOnlyThatConnection) {
 
 TEST(ServiceTest, ReducerRestartOnSamePortAndRepublish) {
   auto driver = MakeDriver("f0", /*shards=*/2);
-  driver->InsertBatch(DemoStream(4000));
+  driver->InsertBatch(UniformStream(4000, kXDomain, kYMax, kStreamSeed));
   auto oracle = driver->Summarize();
   ASSERT_TRUE(oracle.ok());
 
@@ -301,7 +296,7 @@ TEST(ServiceTest, PublisherSurvivesReducerRestartOnOneConnection) {
   // stale socket fails, it reconnects with backoff, clears its acked set,
   // and re-offers everything.
   auto driver = MakeDriver("f2", /*shards=*/2);
-  driver->InsertBatch(DemoStream(3000));
+  driver->InsertBatch(UniformStream(3000, kXDomain, kYMax, kStreamSeed));
   auto oracle = driver->Summarize();
   ASSERT_TRUE(oracle.ok());
 
@@ -364,7 +359,7 @@ TEST(ServiceTest, MismatchedSeedIsRejectedAtTheDoor) {
   auto made = MakeSummary("f2", ServiceOptions(), kSeed + 1);
   ASSERT_TRUE(made.ok());
   AnySummary summary = std::move(made).value();
-  summary.InsertBatch(DemoStream(500));
+  summary.InsertBatch(UniformStream(500, kXDomain, kYMax, kStreamSeed));
   std::string blob;
   ASSERT_TRUE(summary.Serialize(&blob).ok());
 
@@ -460,7 +455,7 @@ TEST(RelayTest, RelayChainAnswersMatchDriverMergeBitForBit) {
     auto relay = std::move(relay_started).value();
 
     auto driver = MakeDriver(kind, /*shards=*/3);
-    driver->InsertBatch(DemoStream(5000));
+    driver->InsertBatch(UniformStream(5000, kXDomain, kYMax, kStreamSeed));
     auto oracle = driver->Summarize();
     ASSERT_TRUE(oracle.ok());
 
@@ -511,7 +506,7 @@ TEST(RelayTest, RestartedRelayReplacesItsSlotAtTheRoot) {
   auto root = std::move(root_started).value();
 
   auto driver = MakeDriver("f2", /*shards=*/2);
-  driver->InsertBatch(DemoStream(2000));
+  driver->InsertBatch(UniformStream(2000, kXDomain, kYMax, kStreamSeed));
   driver->Flush();
   driver->PublishSnapshots();  // snapshots must exist for the shipping pass
 
@@ -533,7 +528,7 @@ TEST(RelayTest, RestartedRelayReplacesItsSlotAtTheRoot) {
   }
 
   // Second incarnation, same relay id: more data, epoch counter reset.
-  driver->InsertBatch(DemoStream(2000, /*rng_seed=*/12));
+  driver->InsertBatch(UniformStream(2000, kXDomain, kYMax, 12));
   driver->Flush();
   driver->PublishSnapshots();
   auto relay_started =
@@ -603,8 +598,8 @@ TEST(RelayTest, TreeAndFlatReducersAnswerEquivalentForAllKinds) {
   for (const KindCase& kind : kind_cases) {
     SCOPED_TRACE(kind.name);
     EXPECT_TRUE(test::TrialsWithin(6, 0.2, [&](int trial) {
-      const auto stream =
-          DemoStream(4000, /*rng_seed=*/900 + static_cast<uint64_t>(trial));
+      const auto stream = UniformStream(4000, kXDomain, kYMax,
+                                        900 + static_cast<uint64_t>(trial));
 
       // Flat: all four workers publish straight into one reducer.
       auto flat_started =
@@ -681,7 +676,7 @@ TEST(RelayTest, AnnexSubstitutesEpochsAndHostileAnnexIsRejected) {
   auto made = MakeSummary("f2", ServiceOptions(), kSeed);
   ASSERT_TRUE(made.ok());
   AnySummary summary = std::move(made).value();
-  summary.InsertBatch(DemoStream(500));
+  summary.InsertBatch(UniformStream(500, kXDomain, kYMax, kStreamSeed));
   std::string payload;
   ASSERT_TRUE(summary.Serialize(&payload).ok());
   const std::vector<service::EpochEntry> downstream{

@@ -20,13 +20,12 @@
 #include "src/core/correlated_fk.h"
 #include "src/core/exact_correlated.h"
 #include "src/driver/sharded_driver.h"
+#include "src/stream/generators.h"
 #include "src/stream/types.h"
 #include "tests/test_util.h"
 
 namespace castream {
 namespace {
-
-using test::UniformStream;
 
 // Runs `writers` threads, each pushing its interleaved slice of the stream
 // through its own Writer handle, then waits for full quiescence.

@@ -20,7 +20,6 @@
 namespace castream {
 namespace {
 
-using test::TestRng;
 using test::TrialsWithin;
 
 constexpr QueryOptions kSnapshot{.mode = QueryMode::kSnapshot};
@@ -137,7 +136,7 @@ bool OracleTrial(Arrival arrival, uint64_t seed) {
       AmsDimsFor(opts.eps / 2.0, BucketGamma(opts), 4), seed);
 
   std::vector<std::pair<uint64_t, uint64_t>> events;  // (v, t)
-  Xoshiro256 rng = TestRng(seed * 31 + 7);
+  Xoshiro256 rng(seed * 31 + 7);
   for (int i = 0; i < 40000; ++i) {
     events.emplace_back(rng.NextBounded(1000), rng.NextBounded(t_max + 1));
   }
@@ -215,7 +214,7 @@ TEST(ShardedWindowTest, ConcurrentObserversAndSnapshotQueries) {
   // main thread serves snapshot queries.
   auto feed = [&window, t_max](uint64_t seed, int n) {
     auto observer = window.MakeObserver();
-    Xoshiro256 rng = TestRng(seed);
+    Xoshiro256 rng(seed);
     for (int i = 0; i < n; ++i) {
       ASSERT_TRUE(
           observer.Observe(rng.NextBounded(300), rng.NextBounded(t_max + 1))

@@ -14,7 +14,6 @@
 namespace castream {
 namespace {
 
-using test::TestRng;
 using test::TrialsWithin;
 
 TEST(AmsF2Test, EmptySketchEstimatesZero) {
@@ -115,7 +114,7 @@ TEST_P(AmsAccuracyTest, RelativeErrorWithinEps) {
     AmsF2SketchFactory factory(c.eps, 0.05, 1000 + trial);
     AmsF2Sketch sketch = factory.Create();
     ExactAggregate exact = ExactAggregateFactory(AggregateKind::kF2).Create();
-    Xoshiro256 rng = TestRng(trial * 77 + 13);
+    Xoshiro256 rng(trial * 77 + 13);
     for (int i = 0; i < c.n; ++i) {
       uint64_t x = c.zipf_like
                        ? static_cast<uint64_t>(

@@ -11,7 +11,6 @@
 namespace castream {
 namespace {
 
-using test::TestRng;
 using test::TrialsWithin;
 
 TEST(KmvTest, ExactBelowCapacity) {
@@ -39,7 +38,7 @@ TEST_P(KmvAccuracyTest, EstimateWithinEps) {
     KmvSketchFactory factory(k, 100 + trial);
     KmvSketch s = factory.Create();
     const uint64_t truth = 50000;
-    Xoshiro256 rng = TestRng(trial);
+    Xoshiro256 rng(trial);
     for (uint64_t x = 0; x < truth; ++x) {
       s.Insert(x);
       if (rng.NextDouble() < 0.3) s.Insert(x);  // duplicates

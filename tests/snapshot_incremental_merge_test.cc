@@ -19,13 +19,12 @@
 
 #include "src/core/correlated_fk.h"
 #include "src/driver/sharded_driver.h"
+#include "src/stream/generators.h"
 #include "src/stream/types.h"
 #include "tests/test_util.h"
 
 namespace castream {
 namespace {
-
-using test::UniformStream;
 
 CorrelatedSketchOptions F2Options() {
   CorrelatedSketchOptions opts;

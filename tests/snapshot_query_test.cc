@@ -27,14 +27,12 @@
 #include "src/core/any_summary.h"
 #include "src/core/correlated_fk.h"
 #include "src/driver/sharded_driver.h"
+#include "src/stream/generators.h"
 #include "src/stream/types.h"
 #include "tests/test_util.h"
 
 namespace castream {
 namespace {
-
-using test::TestRng;
-using test::UniformStream;
 
 constexpr QueryOptions kSnapshot{.mode = QueryMode::kSnapshot};
 
@@ -169,7 +167,7 @@ TEST(SnapshotQueryTest, BoundedByFlushAndFinalOraclesUnderMultiWriterIngest) {
     std::vector<std::thread> writers;
     for (int w = 0; w < kWriters; ++w) {
       writers.emplace_back([&driver, per_writer, seed_base, w] {
-        Xoshiro256 rng = TestRng(seed_base + static_cast<uint64_t>(w));
+        Xoshiro256 rng(seed_base + static_cast<uint64_t>(w));
         auto writer = driver.MakeWriter();
         for (uint64_t i = 0; i < per_writer; ++i) {
           writer.Insert(rng.NextBounded(1 << 16), rng.NextBounded(1 << 10));

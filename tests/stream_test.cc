@@ -1,8 +1,10 @@
-// Tests for workload generators and the multipass tape.
+// Tests for workload generators, the stream builders and the multipass
+// tape.
 #include <cmath>
 #include <cstdint>
 #include <map>
 #include <set>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -125,6 +127,40 @@ TEST(MakePaperDatasetsTest, F0SetAddsEthernet) {
   auto sets = MakePaperDatasets(/*f0_domains=*/true, 1);
   ASSERT_EQ(sets.size(), 4u);
   EXPECT_EQ(sets[0]->name(), "Ethernet");
+}
+
+// FNV-1a over each tuple's x then y, 8 little-endian bytes each.
+uint64_t Fingerprint(const std::vector<Tuple>& stream) {
+  uint64_t h = 0xcbf29ce484222325ULL;
+  for (const Tuple& t : stream) {
+    for (uint64_t v : {t.x, t.y}) {
+      for (int b = 0; b < 8; ++b) {
+        h ^= (v >> (8 * b)) & 0xff;
+        h *= 0x100000001b3ULL;
+      }
+    }
+  }
+  return h;
+}
+
+// Recorded results (bench baselines, statistical test margins, bit-for-bit
+// oracles) depend on the exact tuples these builders draw, so a change to
+// any draw order must fail here first.
+TEST(StreamBuilderTest, FingerprintsArePinned) {
+  EXPECT_EQ(Fingerprint(UniformStream(1000, 300, 4095, 21)),
+            0x1ab94f8758d49dedULL);
+  EXPECT_EQ(Fingerprint(ZipfStream(1000, 500000, 1.1, 16, 62500, 5)),
+            0x029991e172bed730ULL);
+  EXPECT_EQ(Fingerprint(SkewedStream(1000, 600, 16383, 7)),
+            0x9ba0a447987914abULL);
+  // Every draw a burst (no odds draw), and one burst in four.
+  EXPECT_EQ(
+      Fingerprint(BurstyStream(1000, 500000, 1.1, 1000000, 1, 1, 15, 6)),
+      0xcf90a28c1442f840ULL);
+  EXPECT_EQ(Fingerprint(BurstyStream(1000, 2000, 1.1, 16, 1092, 4, 6, 21)),
+            0x5a8d604638d8a377ULL);
+  EXPECT_EQ(Fingerprint(ChurnStream(1000, 500000, 64, 100, 999999, 7)),
+            0x9c324b94b5c6100dULL);
 }
 
 TEST(StoredStreamTest, ScanVisitsAllInOrder) {

@@ -1,16 +1,15 @@
 // Shared test utilities for the CAStream suite.
 //
 // Everything here exists to keep the statistical tests honest and the
-// deterministic tests deterministic:
-//   - TestRng / kTestSeedBase: every test draws randomness from an explicit
-//     fixed seed (never std::random_device or wall-clock time), so a CTest
-//     run is bit-for-bit reproducible.
+// deterministic tests deterministic. The rule every test keeps: randomness
+// comes from a Xoshiro256 seeded with a fixed per-test constant (never
+// std::random_device or wall-clock time), and tuple streams come from the
+// builders in src/stream/generators.h, so a CTest run is bit-for-bit
+// reproducible and a statistical failure is a real signal.
 //   - F0Oracle: exact correlated distinct-count / rarity ground truth.
 //   - HeavyHittersOracle: exact correlated F2 heavy-hitter ground truth.
 //   - ExactFk / RandomMultiset / Concat: exact frequency-moment helpers for
 //     lemma-style property checks.
-//   - UniformStream / SkewedStream: seeded (x, y) tuple streams shared by the
-//     sharded, merge, snapshot and serialization suites.
 //   - TrialsWithin: the (eps, delta) trial runner — asserts that at least
 //     (1 - delta) * trials of a randomized estimator land within tolerance,
 //     which is exactly the guarantee the paper's theorems give.
@@ -34,16 +33,9 @@
 #include "src/common/random.h"
 #include "src/driver/merge_cache.h"  // SummaryDeepCopy only
 #include "src/sketch/exact.h"
-#include "src/stream/types.h"
 
 namespace castream {
 namespace test {
-
-// A deterministic RNG for tests, seeded with exactly the given value (small
-// per-test constants; Xoshiro256 expands them through SplitMix64). Never
-// seed from random_device/time: CTest runs must be reproducible so that a
-// statistical failure is a real signal.
-inline Xoshiro256 TestRng(uint64_t seed) { return Xoshiro256(seed); }
 
 // Exact correlated F0/rarity oracle: for each id x tracks min-y (enough for
 // Distinct) and the full y multiset (needed for Rarity).
@@ -150,37 +142,6 @@ inline std::vector<uint64_t> Concat(const std::vector<uint64_t>& a,
   std::vector<uint64_t> out = a;
   out.insert(out.end(), b.begin(), b.end());
   return out;
-}
-
-// n tuples with x uniform in [0, x_domain) and y uniform in [0, y_max]; x is
-// drawn before y for every tuple.
-inline std::vector<Tuple> UniformStream(size_t n, uint64_t x_domain,
-                                        uint64_t y_max, uint64_t seed) {
-  Xoshiro256 rng = TestRng(seed);
-  std::vector<Tuple> stream;
-  stream.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    stream.push_back(
-        Tuple{rng.NextBounded(x_domain), rng.NextBounded(y_max + 1)});
-  }
-  return stream;
-}
-
-// n tuples with a heavy head: a quarter of the x values come from the eight
-// ids [0, 8), the rest uniformly from [100, 100 + x_domain); y is uniform in
-// [0, y_max].
-inline std::vector<Tuple> SkewedStream(size_t n, uint64_t x_domain,
-                                       uint64_t y_max, uint64_t seed) {
-  Xoshiro256 rng = TestRng(seed);
-  std::vector<Tuple> stream;
-  stream.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    const uint64_t x = (rng.NextBounded(4) == 0)
-                           ? rng.NextBounded(8)
-                           : 100 + rng.NextBounded(x_domain);
-    stream.push_back(Tuple{x, rng.NextBounded(y_max + 1)});
-  }
-  return stream;
 }
 
 // The (eps, delta) trial runner. Runs `trial(i)` for i in [0, trials) — each
